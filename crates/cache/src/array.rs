@@ -88,6 +88,15 @@ impl CacheArray {
         Some(line)
     }
 
+    /// Mutable lookup that leaves LRU state alone (bookkeeping such as
+    /// commit and abort is not an access).
+    pub(crate) fn peek_mut(&mut self, block: PhysBlock) -> Option<&mut CacheLine> {
+        let idx = self.set_index(block);
+        self.sets[idx]
+            .iter_mut()
+            .find(|l| l.block() == block && l.state() != Moesi::Invalid)
+    }
+
     /// Inserts a line, returning the LRU victim if the set was full.
     ///
     /// Re-inserting a block that is already present replaces its line in

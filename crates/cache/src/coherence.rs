@@ -104,7 +104,7 @@ pub fn supply(
         if i == requester {
             continue;
         }
-        let Some(line) = h.touch_mut(block) else {
+        let Some(mut line) = h.touch_mut(block) else {
             continue;
         };
         if for_write {
@@ -162,51 +162,28 @@ pub fn supply(
 
 /// Clears transactional metadata on every line owned by `tx` after a commit
 /// (§4.5): "all of the cache blocks with the transaction ID are specified as
-/// no longer being speculative, and the transaction ID is cleared." Returns
-/// the number of lines processed.
+/// no longer being speculative, and the transaction ID is cleared." Walks
+/// the hierarchy's tagged-line registry, not every set. Returns the number
+/// of lines processed.
 pub fn commit_tx_lines(h: &mut Hierarchy, tx: TxId) -> u64 {
-    let mut n = 0;
-    for line in h.lines_mut() {
-        if line.is_owned_by(tx) {
-            line.clear_tx();
-            n += 1;
-        }
-    }
-    n
+    h.retire_tx(tx, false).1
 }
 
 /// Processes an abort in the cache (§4.5): dirty lines owned by `tx` are
 /// invalidated (their speculative data is discarded); clean lines just drop
-/// the transaction tag. Returns `(dirty_invalidated, clean_cleared)`.
+/// the transaction tag. Walks the tagged-line registry and allocates
+/// nothing. Returns `(dirty_invalidated, clean_cleared)`.
 pub fn abort_tx_lines(h: &mut Hierarchy, tx: TxId) -> (u64, u64) {
-    let dirty: Vec<PhysBlock> = h
-        .lines()
-        .filter(|l| l.is_owned_by(tx) && l.state().is_dirty())
-        .map(|l| l.block())
-        .collect();
-    for b in &dirty {
-        h.invalidate(*b);
-    }
-    let mut clean = 0;
-    for line in h.lines_mut() {
-        if line.is_owned_by(tx) {
-            line.clear_tx();
-            clean += 1;
-        }
-    }
-    (dirty.len() as u64, clean)
+    h.retire_tx(tx, true)
 }
 
 /// Invalidates every non-transactional line (context-switch cache pollution
 /// model): transactional lines survive because they are tagged with their
 /// transaction ID (§4.7), the PTM advantage over flush-on-switch schemes.
-/// Returns the number of lines dropped.
+/// The L1 presence filter empties; transactional L2 lines re-promote on
+/// their next touch. Returns the number of lines dropped.
 pub fn flush_non_tx_lines(h: &mut Hierarchy) -> u64 {
-    let dropped = h.l2_mut().drain_matching(|l| !l.is_transactional());
-    // L1 is a presence filter: rebuild it empty; transactional L2 lines will
-    // re-promote on their next touch.
-    let _ = h.l1_mut().drain_matching(|_| true);
-    dropped.len() as u64
+    h.drop_non_tx_lines()
 }
 
 #[cfg(test)]

@@ -44,19 +44,74 @@ pub use config::CacheConfig;
 pub use line::{CacheLine, Hit, Moesi, ProbeResult, TxLineMeta};
 pub use stats::CacheStats;
 
+use ptm_types::{PhysBlock, TxId};
+
 /// A core's private L1+L2 pair, kept inclusive (everything in L1 is in L2).
 ///
 /// The L1 is a presence filter for timing; all coherence and transactional
 /// state lives in the L2, matching the paper's platform where "coherency is
 /// maintained at the L2 cache".
+///
+/// Lines gain transactional tags only through the hierarchy — [`fill`] of a
+/// tagged line, or [`LineMut::tag`] on a hit — so it can keep a registry of
+/// the L2 blocks that may be tagged. Commit and abort walk that registry
+/// instead of every set, so their cost follows the transactions' footprint,
+/// like the paper's flash clear (§4.5), not the cache's capacity.
+///
+/// [`fill`]: Hierarchy::fill
 #[derive(Debug)]
 pub struct Hierarchy {
     l1: CacheArray,
     l2: CacheArray,
+    /// L2 blocks that may carry transactional metadata. Invariant: every
+    /// tagged L2 line's block is listed. Entries may be stale (the line was
+    /// since evicted, invalidated or untagged) or repeated; commit and abort
+    /// drop those as they walk, and `fill` compacts a registry grown past
+    /// twice the L2's line count.
+    tagged: Vec<PhysBlock>,
     /// L1 access latency in cycles.
     pub l1_latency: u64,
     /// L2 access latency in cycles.
     pub l2_latency: u64,
+}
+
+/// A present L2 line, borrowed through its [`Hierarchy`] by
+/// [`Hierarchy::touch_mut`]. Reads go through `Deref`; the coherence state
+/// may change freely, but a transactional tag is added only by
+/// [`LineMut::tag`], which lists the line in the hierarchy's registry.
+#[derive(Debug)]
+pub struct LineMut<'a> {
+    line: &'a mut CacheLine,
+    tagged: &'a mut Vec<PhysBlock>,
+}
+
+impl LineMut<'_> {
+    /// Sets the MOESI state.
+    pub fn set_state(&mut self, state: Moesi) {
+        self.line.set_state(state);
+    }
+
+    /// Returns the metadata for `tx`, tagging the line if it is currently
+    /// non-transactional.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the line is owned by a *different* transaction (see
+    /// [`CacheLine::tx_meta_for`]).
+    pub fn tag(&mut self, tx: TxId) -> &mut TxLineMeta {
+        if !self.line.is_transactional() {
+            self.tagged.push(self.line.block());
+        }
+        self.line.tx_meta_for(tx)
+    }
+}
+
+impl std::ops::Deref for LineMut<'_> {
+    type Target = CacheLine;
+
+    fn deref(&self) -> &CacheLine {
+        self.line
+    }
 }
 
 impl Hierarchy {
@@ -72,11 +127,12 @@ impl Hierarchy {
             l2_latency: l2.latency,
             l1: CacheArray::new(l1),
             l2: CacheArray::new(l2),
+            tagged: Vec::new(),
         }
     }
 
     /// Probes both levels without changing state, classifying the access.
-    pub fn probe(&self, block: ptm_types::PhysBlock) -> ProbeResult {
+    pub fn probe(&self, block: PhysBlock) -> ProbeResult {
         if self.l1.contains(block) {
             debug_assert!(self.l2.contains(block), "L1 must be inclusive in L2");
             ProbeResult::Hit(Hit::L1)
@@ -96,28 +152,38 @@ impl Hierarchy {
     }
 
     /// Read-only view of the L2 line for `block`.
-    pub fn line(&self, block: ptm_types::PhysBlock) -> Option<&CacheLine> {
+    pub fn line(&self, block: PhysBlock) -> Option<&CacheLine> {
         self.l2.get(block)
     }
 
     /// Mutable view of the L2 line for `block`; promotes into L1 so that a
     /// subsequent probe is an L1 hit (models the refill on an L1 miss /
     /// L2 hit).
-    pub fn touch_mut(&mut self, block: ptm_types::PhysBlock) -> Option<&mut CacheLine> {
-        if self.l2.contains(block) {
-            // Refill L1; its victim needs no action (inclusive, data in L2).
-            let _ = self.l1.insert(CacheLine::presence(block));
-            self.l2.get_mut(block)
-        } else {
-            None
+    pub fn touch_mut(&mut self, block: PhysBlock) -> Option<LineMut<'_>> {
+        if !self.l2.contains(block) {
+            return None;
         }
+        // Refill L1; its victim needs no action (inclusive, data in L2).
+        let _ = self.l1.insert(CacheLine::presence(block));
+        let line = self.l2.get_mut(block)?;
+        Some(LineMut {
+            line,
+            tagged: &mut self.tagged,
+        })
     }
 
     /// Inserts a freshly fetched line into L2 (and L1), returning the L2
     /// victim, if any. The caller turns transactional victims into PTM/VTM
-    /// overflows.
+    /// overflows. A tagged line joins the registry.
     pub fn fill(&mut self, line: CacheLine) -> Option<Eviction> {
         let block = line.block();
+        if line.is_transactional() {
+            let cfg = self.l2.config();
+            if self.tagged.len() >= 2 * cfg.sets * cfg.ways {
+                self.compact_registry();
+            }
+            self.tagged.push(block);
+        }
         let victim = self.l2.insert(line);
         if let Some(ev) = &victim {
             // Inclusion: anything leaving L2 leaves L1 too.
@@ -127,8 +193,51 @@ impl Hierarchy {
         victim
     }
 
+    /// Drops stale and repeated registry entries, leaving one per tagged
+    /// line. Only a long transaction that keeps losing and refilling the
+    /// same lines between commits grows the registry this far.
+    fn compact_registry(&mut self) {
+        let l2 = &self.l2;
+        self.tagged
+            .retain(|&b| l2.get(b).is_some_and(CacheLine::is_transactional));
+        self.tagged.sort_unstable();
+        self.tagged.dedup();
+    }
+
+    /// Clears `tx`'s tags from the registered lines (§4.5's flash clear).
+    /// With `discard_dirty` (abort), `tx`'s dirty lines are invalidated
+    /// instead. The walk compacts the registry in place, keeping only
+    /// other transactions' entries, and touches no LRU state. Returns
+    /// `(dirty_invalidated, cleared)`.
+    pub(crate) fn retire_tx(&mut self, tx: TxId, discard_dirty: bool) -> (u64, u64) {
+        let (mut dirty, mut cleared) = (0, 0);
+        let mut kept = 0;
+        for i in 0..self.tagged.len() {
+            let block = self.tagged[i];
+            let Some(line) = self.l2.peek_mut(block) else {
+                continue;
+            };
+            if !line.is_owned_by(tx) {
+                if line.is_transactional() {
+                    self.tagged[kept] = block;
+                    kept += 1;
+                }
+                continue;
+            }
+            if discard_dirty && line.state().is_dirty() {
+                self.invalidate(block);
+                dirty += 1;
+            } else {
+                line.clear_tx();
+                cleared += 1;
+            }
+        }
+        self.tagged.truncate(kept);
+        (dirty, cleared)
+    }
+
     /// Removes a block from both levels, returning the L2 line.
-    pub fn invalidate(&mut self, block: ptm_types::PhysBlock) -> Option<CacheLine> {
+    pub fn invalidate(&mut self, block: PhysBlock) -> Option<CacheLine> {
         self.l1.invalidate(block);
         self.l2.invalidate(block).map(|e| e.line)
     }
@@ -149,32 +258,26 @@ impl Hierarchy {
         self.l2.lines()
     }
 
-    /// Mutable iteration over all valid L2 lines.
-    pub fn lines_mut(&mut self) -> impl Iterator<Item = &mut CacheLine> {
-        self.l2.lines_mut()
-    }
-
     /// Read-only view of the L1 array (the epoch executor's run-ahead
     /// overlay replays L1 set behaviour from it).
     pub fn l1(&self) -> &CacheArray {
         &self.l1
     }
 
-    /// The L1 array (context-switch pollution needs to clear it).
-    pub fn l1_mut(&mut self) -> &mut CacheArray {
-        &mut self.l1
-    }
-
-    /// The L2 array (for coherence operations that need set access).
-    pub fn l2_mut(&mut self) -> &mut CacheArray {
-        &mut self.l2
+    /// Invalidates every non-transactional L2 line and empties the L1,
+    /// returning the number of L2 lines dropped. Tagged lines stay, so the
+    /// registry needs no update.
+    pub(crate) fn drop_non_tx_lines(&mut self) -> u64 {
+        let dropped = self.l2.drain_matching(|l| !l.is_transactional());
+        let _ = self.l1.drain_matching(|_| true);
+        dropped.len() as u64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ptm_types::{BlockIdx, FrameId, PhysBlock};
+    use ptm_types::{BlockIdx, FrameId, WordIdx};
 
     fn blk(frame: u32, idx: u8) -> PhysBlock {
         PhysBlock::new(FrameId(frame), BlockIdx(idx))
@@ -216,6 +319,36 @@ mod tests {
         assert_eq!(h.probe(a), ProbeResult::Hit(Hit::L2));
         h.touch_mut(a).unwrap();
         assert_eq!(h.probe(a), ProbeResult::Hit(Hit::L1));
+    }
+
+    #[test]
+    fn tagging_a_hit_registers_the_line_once() {
+        let mut h = Hierarchy::with_default_config();
+        let a = blk(0, 0);
+        h.fill(CacheLine::new(a, Moesi::Exclusive));
+        assert!(h.tagged.is_empty(), "untagged fills stay unregistered");
+        h.touch_mut(a).unwrap().tag(TxId(1)).record_read(WordIdx(0));
+        h.touch_mut(a)
+            .unwrap()
+            .tag(TxId(1))
+            .record_write(WordIdx(1));
+        assert_eq!(h.tagged, vec![a]);
+        assert_eq!(h.retire_tx(TxId(1), false), (0, 1));
+        assert!(h.tagged.is_empty(), "retired entries drop out");
+    }
+
+    #[test]
+    fn registry_stays_bounded_under_refills() {
+        // One 2-way L2 set: every fill of a third block evicts.
+        let mut h = Hierarchy::new(CacheConfig::tiny(1, 1), CacheConfig::tiny(1, 2));
+        for i in 0..100u8 {
+            let mut line = CacheLine::new(blk(0, i % 3), Moesi::Modified);
+            line.tx_meta_for(TxId(1));
+            h.fill(line);
+            assert!(h.tagged.len() <= 2 * 2, "len {}", h.tagged.len());
+        }
+        assert_eq!(h.retire_tx(TxId(1), true), (2, 0));
+        assert!(h.lines().next().is_none());
     }
 
     #[test]

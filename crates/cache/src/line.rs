@@ -83,6 +83,15 @@ impl TxLineMeta {
         self.write = true;
         self.write_words.set(word);
     }
+
+    /// Records an access to `word`: a read, plus a write when `write`
+    /// (a transactional write also counts as a read of its word).
+    pub fn record_access(&mut self, word: WordIdx, write: bool) {
+        self.record_read(word);
+        if write {
+            self.record_write(word);
+        }
+    }
 }
 
 /// A cache line: which block it caches, its MOESI state, and optional

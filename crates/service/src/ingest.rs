@@ -16,7 +16,9 @@
 //! transactions admitted but not yet folded into a block count as
 //! in-flight, and [`Service::submit`] rejects with [`SubmitError::Busy`]
 //! — carrying a `retry_after` hint sized to the backlog — instead of
-//! queueing unboundedly. An overloaded service degrades to shedding with
+//! queueing unboundedly. A submission reserves its slot before it is sent,
+//! so the backlog never exceeds `queue_depth`, even with concurrent
+//! [`Submitter`]s. An overloaded service degrades to shedding with
 //! honest retry hints; it never falls over and never lies about an
 //! accepted transaction.
 //!
@@ -34,7 +36,7 @@ use crate::pipeline::Engine;
 use ptm_workloads::ClientTx;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -108,12 +110,21 @@ impl std::error::Error for ServiceError {}
 
 /// A running PTM-as-a-service frontend.
 ///
-/// Submissions are accepted from any thread holding the handle; sealed
-/// block outcomes stream back in order on [`Service::outcomes`].
+/// Submissions are accepted through [`Service::submit`] or from any
+/// thread holding a [`Submitter`]; sealed block outcomes stream back in
+/// order on [`Service::outcomes`].
 pub struct Service {
-    submit: Option<Sender<ClientTx>>,
+    submitter: Submitter,
     outcomes: Receiver<BlockOutcome>,
     worker: Option<JoinHandle<ServiceReport>>,
+}
+
+/// A cloneable submit handle: any number of threads may submit through
+/// clones concurrently. [`Service::shutdown`] closes every clone.
+#[derive(Debug, Clone)]
+pub struct Submitter {
+    /// `None` once the service has shut down.
+    sender: Arc<RwLock<Option<Sender<ClientTx>>>>,
     /// Transactions admitted but not yet folded into a delivered block.
     inflight: Arc<AtomicUsize>,
     shed: Arc<AtomicU64>,
@@ -122,33 +133,23 @@ pub struct Service {
     batch_deadline: Duration,
 }
 
-impl Service {
-    /// Starts the ingest worker.
-    pub fn start(cfg: ServiceConfig) -> Self {
-        let (submit, rx) = mpsc::channel::<ClientTx>();
-        let (out_tx, outcomes) = mpsc::channel::<BlockOutcome>();
-        let inflight = Arc::new(AtomicUsize::new(0));
-        let worker_inflight = Arc::clone(&inflight);
-        let worker = thread::spawn(move || ingest_loop(cfg, rx, out_tx, worker_inflight));
-        Service {
-            submit: Some(submit),
-            outcomes,
-            worker: Some(worker),
-            inflight,
-            shed: Arc::new(AtomicU64::new(0)),
-            queue_depth: cfg.queue_depth,
-            max_batch: cfg.max_batch,
-            batch_deadline: cfg.batch_deadline,
-        }
-    }
-
+impl Submitter {
     /// Submits one client transaction through the bounded queue.
     pub fn submit(&self, tx: ClientTx) -> Result<(), SubmitError> {
-        let Some(s) = &self.submit else {
+        let sender = self.sender.read().unwrap_or_else(PoisonError::into_inner);
+        let Some(s) = sender.as_ref() else {
             return Err(SubmitError::Closed);
         };
-        let backlog = self.inflight.load(Ordering::Relaxed);
-        if backlog >= self.queue_depth {
+        // Reserve the slot before sending: once sent, the worker may fold
+        // the transaction's block and release its slot before `send` even
+        // returns. Reserving by compare-and-swap also keeps concurrent
+        // submitters from overshooting `queue_depth` together.
+        let reserved = self
+            .inflight
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                (n < self.queue_depth).then_some(n + 1)
+            });
+        if let Err(backlog) = reserved {
             self.shed.fetch_add(1, Ordering::Relaxed);
             // The worker drains roughly one max_batch-sized block per
             // deadline; size the hint to the number of blocks queued
@@ -158,13 +159,11 @@ impl Service {
                 retry_after: self.batch_deadline.saturating_mul(blocks_ahead),
             });
         }
-        match s.send(tx) {
-            Ok(()) => {
-                self.inflight.fetch_add(1, Ordering::Relaxed);
-                Ok(())
-            }
-            Err(_) => Err(SubmitError::Closed),
+        if s.send(tx).is_err() {
+            self.inflight.fetch_sub(1, Ordering::Relaxed);
+            return Err(SubmitError::Closed);
         }
+        Ok(())
     }
 
     /// Transactions admitted but not yet folded into a delivered block.
@@ -176,15 +175,59 @@ impl Service {
     pub fn shed(&self) -> u64 {
         self.shed.load(Ordering::Relaxed)
     }
+}
+
+impl Service {
+    /// Starts the ingest worker.
+    pub fn start(cfg: ServiceConfig) -> Self {
+        let (submit, rx) = mpsc::channel::<ClientTx>();
+        let (out_tx, outcomes) = mpsc::channel::<BlockOutcome>();
+        let inflight = Arc::new(AtomicUsize::new(0));
+        let worker_inflight = Arc::clone(&inflight);
+        let worker = thread::spawn(move || ingest_loop(cfg, rx, out_tx, worker_inflight));
+        Service {
+            submitter: Submitter {
+                sender: Arc::new(RwLock::new(Some(submit))),
+                inflight,
+                shed: Arc::new(AtomicU64::new(0)),
+                queue_depth: cfg.queue_depth,
+                max_batch: cfg.max_batch,
+                batch_deadline: cfg.batch_deadline,
+            },
+            outcomes,
+            worker: Some(worker),
+        }
+    }
+
+    /// Submits one client transaction through the bounded queue.
+    pub fn submit(&self, tx: ClientTx) -> Result<(), SubmitError> {
+        self.submitter.submit(tx)
+    }
+
+    /// A submit handle for other threads.
+    pub fn submitter(&self) -> Submitter {
+        self.submitter.clone()
+    }
+
+    /// Transactions admitted but not yet folded into a delivered block.
+    pub fn backlog(&self) -> usize {
+        self.submitter.backlog()
+    }
+
+    /// Submissions shed with `Busy` so far.
+    pub fn shed(&self) -> u64 {
+        self.submitter.shed()
+    }
 
     /// Block outcomes, in execution order.
     pub fn outcomes(&self) -> &Receiver<BlockOutcome> {
         &self.outcomes
     }
 
-    /// Closes the submit side, flushes the final partial block, joins the
-    /// worker and returns lifetime totals. Unread outcomes remain
-    /// readable on [`Service::outcomes`] until `self` drops.
+    /// Closes the submit side (every [`Submitter`] included), flushes the
+    /// final partial block, joins the worker and returns lifetime totals.
+    /// Unread outcomes remain readable on [`Service::outcomes`] until
+    /// `self` drops.
     ///
     /// A worker that died mid-service surfaces as
     /// [`ServiceError::WorkerPanicked`] instead of poisoning the calling
@@ -194,10 +237,14 @@ impl Service {
     ///
     /// Panics on a second call.
     pub fn shutdown(&mut self) -> Result<ServiceReport, ServiceError> {
-        self.submit.take();
+        self.submitter
+            .sender
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
         match self.worker.take().expect("shutdown runs once").join() {
             Ok(mut report) => {
-                report.shed = self.shed.load(Ordering::Relaxed);
+                report.shed = self.submitter.shed();
                 Ok(report)
             }
             Err(payload) => {

@@ -52,9 +52,9 @@
 //!   retried under backoff with a doubling cycle budget and escalates to
 //!   serial-irrevocable execution — degraded and counted, never a
 //!   deadlocked pipeline.
-//! * **Backpressure** ([`Service::submit`]): the submit queue is bounded;
-//!   overload sheds with [`SubmitError::Busy`] and a backlog-sized
-//!   `retry_after` hint.
+//! * **Backpressure** ([`Service::submit`], [`Submitter`]): the submit
+//!   queue is bounded; overload sheds with [`SubmitError::Busy`] and a
+//!   backlog-sized `retry_after` hint.
 //!
 //! See DESIGN.md (decision 24).
 //!
@@ -82,7 +82,6 @@
 
 pub mod block;
 pub mod config;
-pub mod exec;
 pub mod ingest;
 pub mod journal;
 pub mod pipeline;
@@ -90,8 +89,7 @@ pub mod shard;
 
 pub use block::{fold_deltas, run_block, BlockOutcome, BlockStats, Receipt, ReceiptStatus};
 pub use config::{JournalConfig, ServiceConfig, ShardChaosConfig, Strategy};
-pub use exec::{ParallelExec, SequentialExec, TxExecutor, ValidateOnlyExec};
-pub use ingest::{Service, ServiceError, ServiceReport, SubmitError};
+pub use ingest::{Service, ServiceError, ServiceReport, SubmitError, Submitter};
 pub use journal::{replay, Journal, JournalReplay, JournalStats, RecoveredBlock};
 pub use pipeline::{
     recover, run_stream_with_crash, CrashRun, Crashed, Engine, RecoveryReport, ServiceCrashImage,
@@ -269,6 +267,71 @@ mod tests {
             .iter()
             .fold(0u32, |acc, &(_, b)| acc.wrapping_add(b));
         assert_eq!(sum, 0);
+    }
+
+    #[test]
+    fn concurrent_submitters_respect_the_queue_bound() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        // Tiny blocks and a short deadline keep the worker folding blocks
+        // (and releasing slots) while four threads race to fill the queue
+        // and a fifth samples the backlog.
+        let mut cfg = ServiceConfig::new(10_000, 2);
+        cfg.max_batch = 8;
+        cfg.batch_deadline = std::time::Duration::from_millis(1);
+        cfg.queue_depth = 24;
+        for seed in 0..8 {
+            let txs = stream(10_000, 8_000, seed);
+            let mut svc = Service::start(cfg);
+            let done = AtomicBool::new(false);
+            let start = std::sync::Barrier::new(4);
+            let (served, shed, max_backlog) = std::thread::scope(|s| {
+                let monitor = {
+                    let sub = svc.submitter();
+                    let done = &done;
+                    s.spawn(move || {
+                        let mut max = 0;
+                        while !done.load(Ordering::Relaxed) {
+                            max = max.max(sub.backlog());
+                        }
+                        max
+                    })
+                };
+                let threads: Vec<_> = txs
+                    .chunks(2_000)
+                    .map(|chunk| {
+                        let sub = svc.submitter();
+                        let start = &start;
+                        s.spawn(move || {
+                            let (mut served, mut shed) = (0u64, 0u64);
+                            start.wait();
+                            for tx in chunk {
+                                match sub.submit(*tx) {
+                                    Ok(()) => served += 1,
+                                    Err(SubmitError::Busy { .. }) => shed += 1,
+                                    Err(SubmitError::Closed) => panic!("closed while running"),
+                                }
+                            }
+                            (served, shed)
+                        })
+                    })
+                    .collect();
+                let (served, shed) = threads
+                    .into_iter()
+                    .map(|t| t.join().expect("submitter thread"))
+                    .fold((0, 0), |(a, b), (c, d)| (a + c, b + d));
+                done.store(true, Ordering::Relaxed);
+                (served, shed, monitor.join().expect("monitor thread"))
+            });
+            assert!(
+                max_backlog <= cfg.queue_depth,
+                "seed {seed}: backlog {max_backlog}"
+            );
+            let report = svc.shutdown().expect("worker healthy");
+            assert_eq!(served + shed, txs.len() as u64, "every offer answered");
+            assert_eq!(report.txs, served, "seed {seed}");
+            assert_eq!(report.shed, shed, "seed {seed}");
+            assert_eq!(svc.submit(txs[0]), Err(SubmitError::Closed));
+        }
     }
 
     #[test]

@@ -998,19 +998,12 @@ impl Machine {
                 // Timing-model effects of the silent hit.
                 self.stats.tlb_hits += 1;
                 self.caches[idx].l2_stats_mut().hits += 1;
-                let line = self.caches[idx].touch_mut(block).expect("speculated hit");
+                let mut line = self.caches[idx].touch_mut(block).expect("speculated hit");
                 if is_write {
                     line.set_state(Moesi::Modified);
                 }
                 if let Some(tx) = tx {
-                    let meta = line.tx_meta_for(tx);
-                    match kind {
-                        AccessKind::Read => meta.record_read(word),
-                        AccessKind::Write => {
-                            meta.record_read(word);
-                            meta.record_write(word);
-                        }
-                    }
+                    line.tag(tx).record_access(word, kind == AccessKind::Write);
                 }
 
                 // Functional effects.

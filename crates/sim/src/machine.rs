@@ -1201,19 +1201,12 @@ impl Machine {
                         Err(effect) => return effect,
                     }
                 }
-                let line = self.caches[idx].touch_mut(block).expect("hit");
+                let mut line = self.caches[idx].touch_mut(block).expect("hit");
                 if is_write {
                     line.set_state(ptm_cache::Moesi::Modified);
                 }
                 if let Some(tx) = tx {
-                    let meta = line.tx_meta_for(tx);
-                    match kind {
-                        AccessKind::Read => meta.record_read(word),
-                        AccessKind::Write => {
-                            meta.record_read(word);
-                            meta.record_write(word);
-                        }
-                    }
+                    line.tag(tx).record_access(word, is_write);
                 }
                 AccessEffect::Done(latency)
             }
@@ -1230,14 +1223,7 @@ impl Machine {
                 // Fill the line, tag it, and spill the victim.
                 let mut line = CacheLine::new(block, outcome.new_state);
                 if let Some(tx) = tx {
-                    let meta = line.tx_meta_for(tx);
-                    match kind {
-                        AccessKind::Read => meta.record_read(word),
-                        AccessKind::Write => {
-                            meta.record_read(word);
-                            meta.record_write(word);
-                        }
-                    }
+                    line.tx_meta_for(tx).record_access(word, is_write);
                 }
                 if is_write {
                     line.set_state(ptm_cache::Moesi::Modified);
