@@ -417,7 +417,7 @@ criterion_group!(
 
 // ---------------------------------------------------------------------
 // Appended: the machine scheduler's index-min heap (the canonical-order
-// oracle of both the sequential run loop and the epoch executor).
+// oracle of the run loop).
 // ---------------------------------------------------------------------
 
 mod sched {

@@ -5,14 +5,11 @@
 //! head regressed by more than the allowed fraction.
 //!
 //! ```text
-//! bench_gate <base.json> <head.json> [--max-regression 0.10] [--parallel | --durable | --service]
+//! bench_gate <base.json> <head.json> [--max-regression 0.10] [--durable | --service]
 //! ```
 //!
 //! The default mode gates the sequential cycle-loop throughput of
-//! `BENCH_hotpath.json` trajectories. `--parallel` gates the parallel-pass
-//! throughput of `BENCH_parallel_sim.json` trajectories instead, and
-//! additionally refuses comparisons across differing worker counts.
-//! `--durable` gates `BENCH_durable.json` trajectories and refuses
+//! `BENCH_hotpath.json` trajectories. `--durable` gates `BENCH_durable.json` trajectories and refuses
 //! comparisons across differing log-force policies — commit latency is the
 //! very thing the policies trade, so a cross-policy ratio would gate a
 //! configuration change as a regression. `--service` gates
@@ -24,15 +21,12 @@
 //! comparing across hosts is refused rather than silently passed, because a
 //! wall-clock ratio between different machines is noise, not a verdict.
 
-use ptm_bench::history::{
-    durable_ratio, entry_from_report, parallel_ratio, service_ratio, throughput_ratio,
-};
+use ptm_bench::history::{durable_ratio, entry_from_report, service_ratio, throughput_ratio};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut files = Vec::new();
     let mut max_regression = 0.10f64;
-    let mut parallel = false;
     let mut durable = false;
     let mut service = false;
     let mut i = 0;
@@ -45,7 +39,6 @@ fn main() {
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| die("--max-regression needs a fraction, e.g. 0.10"));
             }
-            "--parallel" => parallel = true,
             "--durable" => durable = true,
             "--service" => service = true,
             f => files.push(f.to_string()),
@@ -55,11 +48,11 @@ fn main() {
     if files.len() != 2 {
         die(
             "usage: bench_gate <base.json> <head.json> [--max-regression 0.10] \
-             [--parallel | --durable | --service]",
+             [--durable | --service]",
         );
     }
-    if (parallel as u8) + (durable as u8) + (service as u8) > 1 {
-        die("--parallel, --durable and --service are mutually exclusive");
+    if durable && service {
+        die("--durable and --service are mutually exclusive");
     }
 
     let read = |path: &str| {
@@ -98,14 +91,6 @@ fn main() {
             ratio,
             base.throughput_cycles_per_s(),
             head.throughput_cycles_per_s(),
-        )
-    } else if parallel {
-        let ratio = parallel_ratio(&base, &head).unwrap_or_else(|e| die(&e));
-        (
-            "parallel-pass",
-            ratio,
-            base.parallel_throughput_cycles_per_s().unwrap_or(0),
-            head.parallel_throughput_cycles_per_s().unwrap_or(0),
         )
     } else {
         let ratio = throughput_ratio(&base, &head).unwrap_or_else(|e| die(&e));

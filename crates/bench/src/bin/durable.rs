@@ -176,8 +176,6 @@ fn main() {
         cells: reports.len(),
         total_cycles: reports.iter().map(|r| r.probe_cycles).sum(),
         seq_wall_ns,
-        parallel_wall_ns: None,
-        spec_commit_fraction: None,
         force_policy: Some(policy_label.clone()),
     };
 

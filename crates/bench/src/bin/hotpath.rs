@@ -72,10 +72,6 @@ fn main() {
         cells: seq.len(),
         total_cycles: seq.iter().map(|c| c.cycles).sum(),
         seq_wall_ns: seq_wall,
-        // The hotpath trajectory gates the sequential cycle loop; the
-        // parallel-pass trajectory lives in BENCH_parallel_sim.json.
-        parallel_wall_ns: None,
-        spec_commit_fraction: None,
         force_policy: None,
     };
 

@@ -1,7 +1,7 @@
 //! PTM-as-a-service throughput sweep: sustained tx/s across Zipfian skew
-//! {0.6, 0.9, 1.2} × shards {1, 2, 4} × strategy {sequential, parallel,
-//! validate-only}, asserting on every cell that the Sequential and
-//! Parallel passes produce bit-identical receipts. Emits
+//! {0.6, 0.9, 1.2} × shards {1, 2, 4} × strategy {sequential,
+//! validate-only}, checking every block of every pass against an
+//! independent reference fold of the committed transfers. Emits
 //! `BENCH_service.json` on the same history-trajectory scheme as the
 //! other bench binaries (see `bench_gate`).
 //!
@@ -33,7 +33,7 @@ fn main() {
 
     let cells = run_sweep(scale, MAX_BATCH);
     eprintln!(
-        "service: sequential and parallel receipts bit-identical on all {} cells",
+        "service: receipts and deltas matched the reference ledger on all {} cells",
         cells.len()
     );
 
@@ -56,7 +56,6 @@ fn main() {
     // cycles advanced per wall second of the sequential pass, the same
     // throughput metric as the hotpath trajectory.
     let seq_wall: u64 = cells.iter().map(|c| c.strategies[0].wall_ns).sum();
-    let par_wall: u64 = cells.iter().map(|c| c.strategies[1].wall_ns).sum();
     let total_cycles: u64 = cells.iter().map(|c| c.strategies[0].shard_cycles).sum();
     let entry = HistoryEntry {
         git_rev: ptm_bench::meta::git_rev(),
@@ -67,8 +66,6 @@ fn main() {
         cells: cells.len(),
         total_cycles,
         seq_wall_ns: seq_wall,
-        parallel_wall_ns: Some(par_wall),
-        spec_commit_fraction: None,
         force_policy: None,
     };
 
@@ -82,14 +79,12 @@ fn main() {
 
     for c in &cells {
         let seq = &c.strategies[0];
-        let par = &c.strategies[1];
         eprintln!(
-            "service: skew {:.1} x {} shard(s): seq {:>9.0} tx/s, par {:>9.0} tx/s, \
+            "service: skew {:.1} x {} shard(s): seq {:>9.0} tx/s, \
              abort rate {:.3}, shard skew {:.2}, {} cross-shard, {} ro-fast-path",
             c.skew,
             c.shards,
             seq.tx_per_sec,
-            par.tx_per_sec,
             seq.abort_rate,
             c.shard_skew,
             c.cross_shard,
@@ -155,20 +150,13 @@ fn render_json(
     }
     let _ = writeln!(s, "  ],");
     let seq_wall: u64 = cells.iter().map(|c| c.strategies[0].wall_ns).sum();
-    let par_wall: u64 = cells.iter().map(|c| c.strategies[1].wall_ns).sum();
     let txs: usize = cells.iter().map(|c| c.txs).sum();
     let _ = writeln!(s, "  \"totals\": {{");
     let _ = writeln!(s, "    \"seq_wall_ns\": {seq_wall},");
-    let _ = writeln!(s, "    \"par_wall_ns\": {par_wall},");
     let _ = writeln!(
         s,
-        "    \"seq_tx_per_sec\": {:.1},",
+        "    \"seq_tx_per_sec\": {:.1}",
         txs as f64 / (seq_wall as f64 / 1e9).max(1e-9)
-    );
-    let _ = writeln!(
-        s,
-        "    \"par_tx_per_sec\": {:.1}",
-        txs as f64 / (par_wall as f64 / 1e9).max(1e-9)
     );
     let _ = writeln!(s, "  }},");
     let _ = writeln!(s, "  \"receipts_match\": true");

@@ -101,8 +101,6 @@ fn main() {
         cells: cells.len(),
         total_cycles,
         seq_wall_ns: wall_ns,
-        parallel_wall_ns: None,
-        spec_commit_fraction: None,
         force_policy: Some("mixed".to_string()),
     };
 

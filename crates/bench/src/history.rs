@@ -32,12 +32,6 @@ pub struct HistoryEntry {
     pub total_cycles: u64,
     /// Wall time of the sequential pass, nanoseconds (the time it took).
     pub seq_wall_ns: u64,
-    /// Wall time of the parallel/executor pass, nanoseconds. `None` for
-    /// trajectories that only measure the sequential loop (hotpath).
-    pub parallel_wall_ns: Option<u64>,
-    /// Fraction of executed steps served from speculation in the parallel
-    /// pass. `None` for sequential-only trajectories.
-    pub spec_commit_fraction: Option<f64>,
     /// Log-force policy of a durable-sweep entry (`"eager"`, `"lazy"`,
     /// `"group4"`, or `"mixed"` for a whole-matrix sweep). `None` for
     /// non-durable trajectories. Durable entries are only gate-comparable
@@ -51,29 +45,6 @@ impl HistoryEntry {
     /// Cycle-loop throughput: simulated cycles advanced per wall second.
     pub fn throughput_cycles_per_s(&self) -> u64 {
         ((self.total_cycles as u128 * 1_000_000_000) / u128::from(self.seq_wall_ns.max(1))) as u64
-    }
-
-    /// Parallel-pass throughput, when the entry carries a parallel point.
-    pub fn parallel_throughput_cycles_per_s(&self) -> Option<u64> {
-        let wall = self.parallel_wall_ns?;
-        Some(((self.total_cycles as u128 * 1_000_000_000) / u128::from(wall.max(1))) as u64)
-    }
-
-    /// Wall-clock speedup of the parallel pass over the sequential pass.
-    /// Only meaningful when `host_cores > 1`; on a single-core host the
-    /// ratio measures executor overhead, not parallelism. A hard error —
-    /// not a panic — when the entry carries no parallel wall time (a
-    /// hand-edited or pre-trajectory point), naming the entry so the
-    /// refusal is actionable.
-    pub fn speedup(&self) -> Result<f64, String> {
-        let Some(wall) = self.parallel_wall_ns else {
-            return Err(format!(
-                "history entry {} ({} workers, {} cells at {}) carries no \
-                 parallel_wall_ns — cannot compute a speedup",
-                self.git_rev, self.workers, self.cells, self.scale
-            ));
-        };
-        Ok(self.seq_wall_ns as f64 / wall.max(1) as f64)
     }
 
     /// Renders the entry as a single-line JSON object.
@@ -93,17 +64,6 @@ impl HistoryEntry {
             self.seq_wall_ns,
             self.throughput_cycles_per_s(),
         );
-        if let Some(wall) = self.parallel_wall_ns {
-            // Computed from `wall` directly: `speedup()` is for readers
-            // that must handle entries without a parallel point.
-            s.push_str(&format!(
-                ", \"parallel_wall_ns\": {wall}, \"speedup\": {:.4}",
-                self.seq_wall_ns as f64 / wall.max(1) as f64
-            ));
-        }
-        if let Some(f) = self.spec_commit_fraction {
-            s.push_str(&format!(", \"spec_commit_fraction\": {f:.4}"));
-        }
         if let Some(p) = &self.force_policy {
             s.push_str(&format!(", \"force_policy\": \"{p}\""));
         }
@@ -112,8 +72,9 @@ impl HistoryEntry {
     }
 
     /// Parses the fields back out of one entry object. Returns `None` if a
-    /// required field is missing or malformed; the parallel fields are
-    /// optional so sequential-only (hotpath) entries round-trip too.
+    /// required field is missing or malformed. Keys this version does not
+    /// know (such as the `parallel_wall_ns`, `speedup` and
+    /// `spec_commit_fraction` of older entries) are ignored.
     pub fn parse(entry: &str) -> Option<HistoryEntry> {
         Some(HistoryEntry {
             git_rev: string_field(entry, "git_rev")?,
@@ -124,8 +85,6 @@ impl HistoryEntry {
             cells: number_field(entry, "cells")? as usize,
             total_cycles: number_field(entry, "total_cycles")?,
             seq_wall_ns: number_field(entry, "seq_wall_ns")?,
-            parallel_wall_ns: number_field(entry, "parallel_wall_ns"),
-            spec_commit_fraction: float_field(entry, "spec_commit_fraction"),
             force_policy: string_field(entry, "force_policy"),
         })
     }
@@ -146,10 +105,6 @@ fn string_field(obj: &str, key: &str) -> Option<String> {
 }
 
 fn number_field(obj: &str, key: &str) -> Option<u64> {
-    raw_field(obj, key)?.parse().ok()
-}
-
-fn float_field(obj: &str, key: &str) -> Option<f64> {
     raw_field(obj, key)?.parse().ok()
 }
 
@@ -219,23 +174,15 @@ pub fn entry_from_report(json: &str) -> Option<HistoryEntry> {
         cells += 1;
         rest = &rest[9..];
     }
-    // The parallel numbers live in the totals block; scanning from there
-    // skips the per-cell objects that repeat the same keys. Pre-trajectory
-    // parallel_sim reports record the thread count as "exec_threads".
-    let totals = json.find("\"totals\":").map_or("", |i| &json[i..]);
     Some(HistoryEntry {
         git_rev: string_field(json, "git_rev").unwrap_or_else(|| "unknown".into()),
         rustc: string_field(json, "rustc").unwrap_or_else(|| "unknown".into()),
         host_cores: number_field(json, "host_cores")? as usize,
         scale: string_field(json, "scale")?,
-        workers: number_field(json, "workers")
-            .or_else(|| number_field(json, "exec_threads"))
-            .unwrap_or(1) as usize,
+        workers: number_field(json, "workers").unwrap_or(1) as usize,
         cells,
         total_cycles,
         seq_wall_ns: number_field(json, "seq_wall_ns")?,
-        parallel_wall_ns: number_field(totals, "par_wall_ns"),
-        spec_commit_fraction: float_field(totals, "spec_commit_fraction"),
         // Durable reports carry the swept policy at the top level.
         force_policy: string_field(
             &json[..json.find("\"cells\": [").unwrap_or(json.len())],
@@ -321,48 +268,6 @@ pub fn throughput_ratio(old: &HistoryEntry, new: &HistoryEntry) -> Result<f64, S
     Ok(new.throughput_cycles_per_s() as f64 / old.throughput_cycles_per_s().max(1) as f64)
 }
 
-/// Compares the *parallel-pass* throughput of two trajectory points:
-/// `Ok(ratio)` with `ratio = new/old` when comparable. On top of
-/// [`throughput_ratio`]'s conditions, the two runs must use the same
-/// worker count — a 1-worker vs 4-worker wall-clock ratio measures the
-/// configuration change, not a regression — and both must actually carry a
-/// parallel measurement.
-pub fn parallel_ratio(old: &HistoryEntry, new: &HistoryEntry) -> Result<f64, String> {
-    if old.scale != new.scale || old.cells != new.cells {
-        return Err(format!(
-            "incomparable runs: {} cells at {} vs {} cells at {}",
-            old.cells, old.scale, new.cells, new.scale
-        ));
-    }
-    if old.host_cores != new.host_cores {
-        return Err(format!(
-            "incomparable hosts: {} cores vs {} cores",
-            old.host_cores, new.host_cores
-        ));
-    }
-    if old.workers != new.workers {
-        return Err(format!(
-            "incomparable worker counts: {} vs {}",
-            old.workers, new.workers
-        ));
-    }
-    let Some(old_t) = old.parallel_throughput_cycles_per_s() else {
-        return Err(format!(
-            "base entry {} carries no parallel trajectory point \
-             (missing parallel_wall_ns)",
-            old.git_rev
-        ));
-    };
-    let Some(new_t) = new.parallel_throughput_cycles_per_s() else {
-        return Err(format!(
-            "head entry {} carries no parallel trajectory point \
-             (missing parallel_wall_ns)",
-            new.git_rev
-        ));
-    };
-    Ok(new_t as f64 / old_t.max(1) as f64)
-}
-
 /// Compares two *durable-sweep* trajectory points: `Ok(ratio)` with
 /// `ratio = new/old` throughput when comparable. On top of
 /// [`throughput_ratio`]'s conditions, both entries must carry a force
@@ -423,18 +328,7 @@ mod tests {
             cells: 49,
             total_cycles: cycles,
             seq_wall_ns: wall,
-            parallel_wall_ns: None,
-            spec_commit_fraction: None,
             force_policy: None,
-        }
-    }
-
-    fn parallel_entry(cycles: u64, seq_wall: u64, par_wall: u64) -> HistoryEntry {
-        HistoryEntry {
-            workers: 4,
-            parallel_wall_ns: Some(par_wall),
-            spec_commit_fraction: Some(0.5),
-            ..entry(cycles, seq_wall)
         }
     }
 
@@ -444,23 +338,19 @@ mod tests {
         let parsed = HistoryEntry::parse(&e.to_json()).unwrap();
         assert_eq!(parsed, e);
         assert_eq!(parsed.throughput_cycles_per_s(), 123_456_789);
-        assert_eq!(parsed.parallel_throughput_cycles_per_s(), None);
-        let err = parsed.speedup().unwrap_err();
-        assert!(
-            err.contains("abc123def456") && err.contains("parallel_wall_ns"),
-            "speedup refusal must name the entry: {err}"
-        );
     }
 
     #[test]
-    fn parallel_entry_round_trips_through_json() {
-        let e = parallel_entry(1_000_000, 2_000_000_000, 1_000_000_000);
-        let parsed = HistoryEntry::parse(&e.to_json()).unwrap();
-        assert_eq!(parsed, e);
-        assert_eq!(parsed.parallel_throughput_cycles_per_s(), Some(1_000_000));
-        assert_eq!(parsed.speedup(), Ok(2.0));
-        // A parallel entry still parses as a valid sequential point.
-        assert_eq!(parsed.throughput_cycles_per_s(), 500_000);
+    fn entries_with_retired_parallel_keys_still_parse() {
+        // Entries written before the speculative executor was removed carry
+        // parallel-pass keys; the parser ignores them.
+        let e = entry(1_000_000, 2_000_000_000);
+        let json = e.to_json().replace(
+            '}',
+            ", \"parallel_wall_ns\": 1000000000, \"speedup\": 2.0000, \
+             \"spec_commit_fraction\": 0.5000}",
+        );
+        assert_eq!(HistoryEntry::parse(&json).unwrap(), e);
     }
 
     #[test]
@@ -514,29 +404,6 @@ mod tests {
         assert_eq!(e.cells, 2);
         assert_eq!(e.total_cycles, 350);
         assert_eq!(e.seq_wall_ns, 700);
-        assert_eq!(e.parallel_wall_ns, None);
-
-        // A pre-trajectory parallel_sim report: thread count under
-        // "exec_threads", parallel wall and commit fraction in the totals
-        // block (the per-cell copies of the same keys must be skipped).
-        let parallel_report = concat!(
-            "{\n",
-            "  \"scale\": \"Tiny\",\n",
-            "  \"exec_threads\": 2,\n",
-            "  \"host_cores\": 4,\n",
-            "  \"cells\": [\n",
-            "    {\"family\": \"t1\", \"cycles\": 100, \"spec_commit_fraction\": 0.9000}\n",
-            "  ],\n",
-            "  \"totals\": {\n",
-            "    \"seq_wall_ns\": 700,\n    \"par_wall_ns\": 350,\n",
-            "    \"spec_commit_fraction\": 0.2500\n  }\n",
-            "}\n",
-        );
-        let p = entry_from_report(parallel_report).unwrap();
-        assert_eq!(p.workers, 2);
-        assert_eq!(p.parallel_wall_ns, Some(350));
-        assert_eq!(p.spec_commit_fraction, Some(0.25));
-        assert_eq!(p.speedup(), Ok(2.0));
 
         // With a history array present, the last entry wins instead.
         let e2 = entry(42, 7);
@@ -611,26 +478,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_ratio_refusal_names_the_entry_without_a_parallel_point() {
-        let good = parallel_entry(1_000_000, 2_000_000_000, 1_000_000_000);
-        let mut bare = good.clone();
-        bare.git_rev = "feedfacecafe".into();
-        bare.parallel_wall_ns = None;
-        bare.spec_commit_fraction = None;
-
-        let err = parallel_ratio(&good, &bare).unwrap_err();
-        assert!(
-            err.contains("feedfacecafe") && err.contains("parallel_wall_ns"),
-            "head refusal must name the entry: {err}"
-        );
-        let err = parallel_ratio(&bare, &good).unwrap_err();
-        assert!(
-            err.contains("feedfacecafe") && err.contains("base"),
-            "{err}"
-        );
-    }
-
-    #[test]
     fn service_ratio_gates_shards_and_policy_tags() {
         let old = entry(1_000_000, 1_000_000_000);
         let new = entry(900_000, 1_000_000_000);
@@ -652,25 +499,5 @@ mod tests {
         let mut other_scale = new.clone();
         other_scale.scale = "Full".into();
         assert!(service_ratio(&old, &other_scale).is_err());
-    }
-
-    #[test]
-    fn parallel_ratio_gates_workers_and_presence() {
-        let old = parallel_entry(1_000_000, 2_000_000_000, 1_000_000_000);
-        let new = parallel_entry(1_000_000, 2_000_000_000, 2_000_000_000);
-        let r = parallel_ratio(&old, &new).unwrap();
-        assert!((r - 0.5).abs() < 1e-9, "half the parallel throughput: {r}");
-
-        let mut other_workers = new.clone();
-        other_workers.workers = 8;
-        assert!(parallel_ratio(&old, &other_workers).is_err());
-
-        let mut other_host = new.clone();
-        other_host.host_cores = 64;
-        assert!(parallel_ratio(&old, &other_host).is_err());
-
-        // A sequential-only point (e.g. synthesized from a pre-trajectory
-        // report) cannot be parallel-gated.
-        assert!(parallel_ratio(&entry(1_000_000, 1), &new).is_err());
     }
 }

@@ -10,7 +10,6 @@ pub mod faults;
 pub mod history;
 pub mod meta;
 pub mod parallel;
-pub mod parallel_sim;
 pub mod service;
 pub mod service_chaos;
 

@@ -383,7 +383,9 @@ pub fn run_backpressure(scale: Scale) -> BackpressureReport {
                     assert!(retry_after > std::time::Duration::ZERO, "honest hint");
                     max_retry_after_ms = max_retry_after_ms.max(retry_after.as_millis() as u64);
                 }
-                Err(SubmitError::Closed) => panic!("service is open"),
+                Err(e @ (SubmitError::Closed | SubmitError::Invalid)) => {
+                    panic!("{e:?}: service is open, stream is valid")
+                }
             }
             assert!(svc.backlog() <= cfg.queue_depth, "bounded means bounded");
         }

@@ -3,24 +3,18 @@
 //! The gate has three verdicts: ok (exit 0), regression (exit 1), and
 //! *refusal* (exit 2) when the two trajectory points cannot be compared.
 //! These tests pin the contract the CI jobs rely on: a malformed or
-//! hand-edited history entry — in particular a parallel entry missing
-//! `parallel_wall_ns` — must produce an exit-2 refusal that names the
-//! offending entry, never a panic; and comparing against a `-dirty` point
+//! hand-edited history entry must produce an exit-2 refusal that names the
+//! offending report, never a panic; and comparing against a `-dirty` point
 //! must warn on stderr without changing the verdict.
 
 use std::process::{Command, Output};
 
-fn entry_json(git_rev: &str, parallel_wall: Option<u64>) -> String {
-    let mut s = format!(
+fn entry_json(git_rev: &str) -> String {
+    format!(
         "{{\"git_rev\": \"{git_rev}\", \"rustc\": \"rustc 1.95.0\", \
          \"host_cores\": 4, \"scale\": \"Tiny\", \"workers\": 2, \
-         \"cells\": 49, \"total_cycles\": 1000000, \"seq_wall_ns\": 2000000000"
-    );
-    if let Some(wall) = parallel_wall {
-        s.push_str(&format!(", \"parallel_wall_ns\": {wall}"));
-    }
-    s.push('}');
-    s
+         \"cells\": 49, \"total_cycles\": 1000000, \"seq_wall_ns\": 2000000000}}"
+    )
 }
 
 fn report(entry: &str) -> String {
@@ -49,12 +43,11 @@ fn run_gate(base: &str, head: &str, extra: &[&str]) -> Output {
 }
 
 #[test]
-fn missing_parallel_wall_refuses_with_exit_2_naming_the_entry() {
-    let base = report(&entry_json("aaaa11112222", Some(1_000_000_000)));
-    // A hand-edited / pre-trajectory head entry: workers recorded, but no
-    // parallel wall time. Before the fix this path crashed the gate.
-    let head = report(&entry_json("feedfacecafe", None));
-    let out = run_gate(&base, &head, &["--parallel"]);
+fn malformed_entry_refuses_with_exit_2_naming_the_report() {
+    let base = report(&entry_json("aaaa11112222"));
+    // A hand-edited head entry with its wall time deleted: no usable point.
+    let head = report(&entry_json("feedfacecafe").replace(", \"seq_wall_ns\": 2000000000", ""));
+    let out = run_gate(&base, &head, &[]);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(
         out.status.code(),
@@ -63,16 +56,16 @@ fn missing_parallel_wall_refuses_with_exit_2_naming_the_entry() {
         out.status
     );
     assert!(
-        stderr.contains("feedfacecafe") && stderr.contains("parallel_wall_ns"),
-        "the refusal must name the offending entry: {stderr}"
+        stderr.contains("head.json") && stderr.contains("no usable trajectory point"),
+        "the refusal must name the offending report: {stderr}"
     );
 }
 
 #[test]
-fn comparable_parallel_entries_still_pass() {
-    let base = report(&entry_json("aaaa11112222", Some(1_000_000_000)));
-    let head = report(&entry_json("bbbb33334444", Some(1_000_000_000)));
-    let out = run_gate(&base, &head, &["--parallel"]);
+fn comparable_entries_pass() {
+    let base = report(&entry_json("aaaa11112222"));
+    let head = report(&entry_json("bbbb33334444"));
+    let out = run_gate(&base, &head, &[]);
     assert_eq!(
         out.status.code(),
         Some(0),
@@ -83,9 +76,9 @@ fn comparable_parallel_entries_still_pass() {
 
 #[test]
 fn dirty_trajectory_point_warns_without_changing_the_verdict() {
-    let base = report(&entry_json("aaaa11112222-dirty", Some(1_000_000_000)));
-    let head = report(&entry_json("bbbb33334444", Some(1_000_000_000)));
-    let out = run_gate(&base, &head, &["--parallel"]);
+    let base = report(&entry_json("aaaa11112222-dirty"));
+    let head = report(&entry_json("bbbb33334444"));
+    let out = run_gate(&base, &head, &[]);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "{stderr}");
     assert!(
@@ -94,6 +87,6 @@ fn dirty_trajectory_point_warns_without_changing_the_verdict() {
     );
 
     // Clean comparisons stay silent on the dirty channel.
-    let clean = run_gate(&head, &head, &["--parallel"]);
+    let clean = run_gate(&head, &head, &[]);
     assert!(!String::from_utf8_lossy(&clean.stderr).contains("dirty"));
 }

@@ -135,20 +135,6 @@ impl CacheArray {
         Some(Eviction { line: victim })
     }
 
-    /// The `(block, lru)` pairs of the set `block` maps to (valid lines
-    /// only). An external LRU simulation — the epoch executor's run-ahead
-    /// overlay — seeds itself from this view and replays [`insert`]'s
-    /// replace-in-place / fill / evict-min-lru behaviour without mutating
-    /// the array.
-    ///
-    /// [`insert`]: CacheArray::insert
-    pub fn set_view(&self, block: PhysBlock) -> impl Iterator<Item = (PhysBlock, u64)> + '_ {
-        self.sets[self.set_index(block)]
-            .iter()
-            .filter(|l| l.state() != Moesi::Invalid)
-            .map(|l| (l.block(), l.lru))
-    }
-
     /// Removes a block, returning its line.
     pub fn invalidate(&mut self, block: PhysBlock) -> Option<Eviction> {
         let idx = self.set_index(block);

@@ -132,22 +132,6 @@ impl SystemBus {
         done
     }
 
-    /// Predicts — without mutating occupancy or statistics — the completion
-    /// cycle a miss's bus traffic would have if issued at `now`: the snoop
-    /// round of [`Self::onchip_transfer`], chained into
-    /// [`Self::mem_access`]'s pipeline slot when `from_memory`. The
-    /// speculative executor pre-schedules cache-miss fills with this; the
-    /// prediction is exact while no other traffic intervenes, and a
-    /// divergence merely discards the speculated tail behind the miss.
-    pub fn peek_miss_fill(&self, now: Cycle, from_memory: bool) -> Cycle {
-        let transferred = now.max(self.bus_free_at) + self.timings.onchip_round_trip;
-        if !from_memory {
-            return transferred;
-        }
-        let slot = self.mem_slots.iter().copied().min().unwrap_or(0);
-        transferred.max(slot) + self.timings.mem_latency
-    }
-
     fn slot_access(&mut self, issued: Cycle) -> Cycle {
         let slot = self
             .mem_slots
@@ -245,27 +229,6 @@ mod tests {
             assert_eq!(a.mem_access(done_loop), b.mem_access(done_batch));
             assert_eq!(a.stats(), b.stats());
         }
-    }
-
-    #[test]
-    fn peek_miss_fill_matches_live_sequence() {
-        for from_memory in [false, true] {
-            let mut bus = SystemBus::new(BusTimings::default());
-            bus.onchip_transfer(0); // pre-existing traffic
-            bus.mem_access(10);
-            let predicted = bus.peek_miss_fill(30, from_memory);
-            let t1 = bus.onchip_transfer(30);
-            let live = if from_memory { bus.mem_access(t1) } else { t1 };
-            assert_eq!(predicted, live, "from_memory={from_memory}");
-        }
-    }
-
-    #[test]
-    fn peek_miss_fill_does_not_mutate() {
-        let bus = SystemBus::new(BusTimings::default());
-        let stats = *bus.stats();
-        let _ = bus.peek_miss_fill(0, true);
-        assert_eq!(*bus.stats(), stats);
     }
 
     #[test]

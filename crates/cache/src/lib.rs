@@ -258,8 +258,7 @@ impl Hierarchy {
         self.l2.lines()
     }
 
-    /// Read-only view of the L1 array (the epoch executor's run-ahead
-    /// overlay replays L1 set behaviour from it).
+    /// Read-only view of the L1 array.
     pub fn l1(&self) -> &CacheArray {
         &self.l1
     }

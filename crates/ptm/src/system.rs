@@ -214,15 +214,6 @@ impl PtmSystem {
         self.tstate.is_live(tx)
     }
 
-    /// Whether `tx` has overflowed any state out of the caches (a non-empty
-    /// vertical TAV list). A transaction with no overflow commits and
-    /// aborts without touching memory, shadow pages or selection vectors —
-    /// the speculative executor uses this to scope invalidation to the
-    /// words the commit actually publishes instead of poisoning the world.
-    pub fn tx_has_overflow(&self, tx: TxId) -> bool {
-        self.tstate.status(tx).is_some() && self.tstate.entry(tx).tav_head.is_some()
-    }
-
     /// Installs (or clears) a hard cap on live TAV nodes — fault injection
     /// uses this to manufacture arena-capacity pressure.
     pub fn set_tav_capacity(&mut self, capacity: Option<usize>) {
@@ -1261,31 +1252,27 @@ impl PtmSystem {
     /// dirty block is written back and its committed copy lives in the
     /// shadow, migrate it to the home page and toggle the selection bit —
     /// unless a live transaction's speculative data occupies the home slot.
-    ///
-    /// Returns `true` when a migration actually happened (page data moved
-    /// and the selection bit flipped) so callers running under speculation
-    /// know their frozen committed-frame lookups just went stale.
-    pub fn on_nontx_dirty_writeback(&mut self, block: PhysBlock, mem: &mut PhysicalMemory) -> bool {
+    pub fn on_nontx_dirty_writeback(&mut self, block: PhysBlock, mem: &mut PhysicalMemory) {
         if self.cfg.policy != PtmPolicy::Select
             || self.cfg.shadow_free != ShadowFreePolicy::LazyMigrate
         {
-            return false;
+            return;
         }
         let frame = block.frame();
         let idx = block.index();
         let Some(entry) = self.spt.entry(frame) else {
-            return false;
+            return;
         };
         let Some(shadow) = entry.shadow else {
-            return false;
+            return;
         };
         if !entry.sel.get(idx) {
-            return false;
+            return;
         }
         // The home slot currently holds (or may soon hold) speculative data
         // if any live transaction overflowed a write to this block.
         if self.spt.sum_write(frame).get(idx) {
-            return false;
+            return;
         }
         mem.copy_block(block.on_frame(shadow), block);
         let entry = self.spt.entry_mut(frame).expect("just looked up");
@@ -1293,20 +1280,8 @@ impl PtmSystem {
         self.stats.lazy_migrations += 1;
         self.spt_cache.mark_dirty(&frame);
         self.maybe_free_shadow(frame, mem);
-        true
     }
 }
-
-/// The epoch executor in `crates/sim` shares a `&PtmSystem` across host
-/// threads during its speculation phase: every `&self` lookup it performs
-/// (`committed_frame`, `tx_view_frame`, `block_overflowed`, `mirror_location`,
-/// TAV walks) reads plain owned data, so the system is [`Sync`] by
-/// construction. This assertion keeps that seam from silently regressing if
-/// interior mutability (e.g. a `Cell`-based stats cache) is ever added.
-const _: fn() = || {
-    fn assert_sync<T: Sync>() {}
-    assert_sync::<PtmSystem>();
-};
 
 /// Copies the masked words of `src` onto `dst`.
 /// Frame-number sentinel for swapped-out pages. TAV nodes of a swapped page

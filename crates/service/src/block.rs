@@ -4,7 +4,7 @@
 
 use crate::config::{ServiceConfig, ShardChaosConfig, Strategy};
 use crate::shard::ShardMap;
-use ptm_sim::{run, run_parallel, run_with_faults, FaultPlan, Machine, Op, ThreadProgram};
+use ptm_sim::{run, run_with_faults, FaultPlan, Machine, Op, ThreadProgram};
 use ptm_types::{Cycle, FastMap, ProcessId, ThreadId, VirtAddr, BLOCK_SIZE, PAGE_SIZE, WORD_SIZE};
 use ptm_workloads::ClientTx;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -29,8 +29,7 @@ pub struct Receipt {
 pub enum ReceiptStatus {
     /// The transfer committed on its shard machine. `seq` is its position
     /// in the shard's commit order, `at` the simulated commit cycle —
-    /// together they pin the execution schedule, which is what the
-    /// Sequential ≡ Parallel bit-identity check compares.
+    /// together they pin the execution schedule.
     Committed {
         /// Position in the shard's commit order.
         seq: u64,
@@ -321,7 +320,7 @@ fn shard_machine_cfg(cfg: &ServiceConfig, plan: &ShardPlan) -> ptm_sim::MachineC
 
 /// Runs one compiled shard and decodes its commit log into receipts.
 ///
-/// Fault-free shards run the strategy's executor directly. Under
+/// Fault-free shards run `Machine::run` directly. Under
 /// [`ShardChaosConfig`] the shard runs inside an isolation boundary:
 /// abort storms and resource squeezes are injected per attempt, an
 /// attempt that panics (exhaustion) or blows its cycle budget (stall) is
@@ -330,16 +329,12 @@ fn shard_machine_cfg(cfg: &ServiceConfig, plan: &ShardPlan) -> ptm_sim::MachineC
 /// one thread, no faults, guaranteed to terminate. A stormed shard
 /// degrades (slower, counted in [`BlockStats`]); it never takes the block
 /// down with it and never deadlocks the pipeline.
-fn run_shard(cfg: &ServiceConfig, shard: usize, plan: &ShardPlan, parallel: bool) -> ShardRun {
+fn run_shard(cfg: &ServiceConfig, shard: usize, plan: &ShardPlan) -> ShardRun {
     let mcfg = shard_machine_cfg(cfg, plan);
     let (programs, tx_of) = plan.programs(cfg.threads_per_shard);
 
     let Some(chaos) = cfg.chaos else {
-        let machine: Machine = if parallel {
-            run_parallel(mcfg, cfg.kind, programs, &cfg.exec).0
-        } else {
-            run(mcfg, cfg.kind, programs)
-        };
+        let machine = run(mcfg, cfg.kind, programs);
         let (receipts, commits, aborts, cycles, deltas) =
             decode_machine(&machine, plan, &tx_of, shard);
         return ShardRun {
@@ -355,9 +350,7 @@ fn run_shard(cfg: &ServiceConfig, shard: usize, plan: &ShardPlan, parallel: bool
         };
     };
 
-    // Chaos always drives the sequential fault runner: fault injection is
-    // defined on the canonical interleaved schedule, not on the epoch
-    // executor. Still deterministic — same cfg, same block, same storms.
+    // Deterministic: same cfg, same block, same storms.
     let ops: u64 = plan.transfers.len() as u64 * 4;
     let horizon = ops * 8 + 256;
     let mut retries = 0u64;
@@ -430,6 +423,14 @@ fn run_shard(cfg: &ServiceConfig, shard: usize, plan: &ShardPlan, parallel: bool
 /// This is the synchronous core the ingest loop, the tests and the bench
 /// all share; it is a pure function of `(cfg, block, balances)` except
 /// for the `wall_ns` stat.
+///
+/// # Panics
+///
+/// Panics if any transaction's `from` or `to` lies outside
+/// `0..cfg.accounts` — under every strategy, `ValidateOnly` included,
+/// because routing runs first. [`crate::Service::submit`] rejects such
+/// transactions with [`crate::SubmitError::Invalid`]; direct callers must
+/// check them themselves.
 pub fn run_block(
     cfg: &ServiceConfig,
     block: &[ClientTx],
@@ -480,15 +481,14 @@ pub fn run_block(
                 });
             }
         }
-        Strategy::Sequential | Strategy::Parallel => {
-            let parallel = matches!(cfg.strategy, Strategy::Parallel);
+        Strategy::Sequential => {
             let plans = compile(cfg, &map, block);
             let mut fold: FastMap<u64, u32> = FastMap::default();
             for (shard, plan) in plans.iter().enumerate() {
                 if plan.transfers.is_empty() {
                     continue;
                 }
-                let run = run_shard(cfg, shard, plan, parallel);
+                let run = run_shard(cfg, shard, plan);
                 receipts.extend(run.receipts);
                 stats.commits += run.commits;
                 stats.aborts += run.aborts;

@@ -2,7 +2,7 @@
 
 use ptm_core::durability::ForcePolicy;
 use ptm_mem::logdev::{LogDevConfig, LogFaultPlan};
-use ptm_sim::{ExecutorConfig, MachineConfig, SystemKind};
+use ptm_sim::{MachineConfig, SystemKind};
 use std::time::Duration;
 
 /// How a block's shard machines are executed.
@@ -10,10 +10,6 @@ use std::time::Duration;
 pub enum Strategy {
     /// `Machine::run`: the deterministic sequential core loop.
     Sequential,
-    /// `Machine::run_parallel`: the speculative epoch executor,
-    /// bit-identical results to `Sequential` by construction — the
-    /// service bench asserts this on every cell.
-    Parallel,
     /// Admission checks only; nothing executes and no state changes.
     /// Useful to measure frontend overhead and as a dry-run mode.
     ValidateOnly,
@@ -24,7 +20,6 @@ impl Strategy {
     pub fn label(&self) -> &'static str {
         match self {
             Strategy::Sequential => "sequential",
-            Strategy::Parallel => "parallel",
             Strategy::ValidateOnly => "validate-only",
         }
     }
@@ -120,8 +115,6 @@ pub struct ServiceConfig {
     pub kind: SystemKind,
     /// Execution strategy for shard machines.
     pub strategy: Strategy,
-    /// Epoch-executor knobs, used by [`Strategy::Parallel`].
-    pub exec: ExecutorConfig,
     /// Shard machine template; `mem_frames` is resized per block.
     pub machine: MachineConfig,
     /// Admission: a block is sealed as soon as it holds this many
@@ -149,10 +142,6 @@ impl ServiceConfig {
             threads_per_shard: 4,
             kind: SystemKind::SelectPtm(Default::default()),
             strategy: Strategy::Sequential,
-            exec: ExecutorConfig {
-                threads: 2,
-                epoch_cycles: ExecutorConfig::DEFAULT_EPOCH_CYCLES,
-            },
             machine: MachineConfig::default(),
             max_batch: 256,
             batch_deadline: Duration::from_millis(5),

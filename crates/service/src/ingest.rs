@@ -22,10 +22,14 @@
 //! honest retry hints; it never falls over and never lies about an
 //! accepted transaction.
 //!
+//! A transaction naming an account outside the service's account space is
+//! rejected at submit with [`SubmitError::Invalid`], before it takes a
+//! queue slot: the block it would join could not be executed.
+//!
 //! # Fault containment
 //!
 //! The worker thread is a fault boundary: if it dies (a bug, or a
-//! poisoned transaction driven into a panic), [`Service::shutdown`]
+//! configuration that block execution rejects), [`Service::shutdown`]
 //! returns [`ServiceError::WorkerPanicked`] with the panic message
 //! instead of propagating the panic into the caller's thread.
 
@@ -87,6 +91,9 @@ pub enum SubmitError {
     },
     /// The service has shut down; nothing will ever be admitted again.
     Closed,
+    /// The transaction names an account outside `0..accounts`. It was not
+    /// queued and took no slot; resubmitting it can never succeed.
+    Invalid,
 }
 
 /// Why a shutdown did not return a report.
@@ -128,6 +135,7 @@ pub struct Submitter {
     /// Transactions admitted but not yet folded into a delivered block.
     inflight: Arc<AtomicUsize>,
     shed: Arc<AtomicU64>,
+    accounts: u64,
     queue_depth: usize,
     max_batch: usize,
     batch_deadline: Duration,
@@ -136,6 +144,9 @@ pub struct Submitter {
 impl Submitter {
     /// Submits one client transaction through the bounded queue.
     pub fn submit(&self, tx: ClientTx) -> Result<(), SubmitError> {
+        if tx.from >= self.accounts || tx.to >= self.accounts {
+            return Err(SubmitError::Invalid);
+        }
         let sender = self.sender.read().unwrap_or_else(PoisonError::into_inner);
         let Some(s) = sender.as_ref() else {
             return Err(SubmitError::Closed);
@@ -190,6 +201,7 @@ impl Service {
                 sender: Arc::new(RwLock::new(Some(submit))),
                 inflight,
                 shed: Arc::new(AtomicU64::new(0)),
+                accounts: cfg.accounts,
                 queue_depth: cfg.queue_depth,
                 max_batch: cfg.max_batch,
                 batch_deadline: cfg.batch_deadline,

@@ -34,7 +34,9 @@ fn bounded_queue_sheds_with_a_backlog_sized_retry_hint() {
                 shed += 1;
                 assert!(retry_after >= cfg.batch_deadline, "hint covers a drain");
             }
-            Err(SubmitError::Closed) => panic!("service is open"),
+            Err(e @ (SubmitError::Closed | SubmitError::Invalid)) => {
+                panic!("{e:?}: service is open, stream is valid")
+            }
         }
     }
     assert!(shed > 0, "flooding a depth-4 queue must shed");
@@ -46,31 +48,79 @@ fn bounded_queue_sheds_with_a_backlog_sized_retry_hint() {
 
 #[test]
 fn worker_panic_surfaces_as_service_error_not_a_poisoned_join() {
-    // A client tx outside the account space drives the shard router into
-    // its out-of-range panic inside the worker thread — the deliberately
-    // poisoned executor. Shutdown must hand back the panic message, not
-    // propagate the panic into the caller.
-    let mut cfg = ServiceConfig::new(100, 1);
+    // A config with more shards than accounts passes `Service::start` but
+    // drives the shard router into its construction panic inside the
+    // worker thread the moment a block executes. Shutdown must hand back
+    // the panic message, not propagate the panic into the caller.
+    let mut cfg = ServiceConfig::new(1, 2);
     cfg.max_batch = 1; // seal-and-execute on the first accept
-    let poison = ClientTx {
+    let tx = ClientTx {
         id: 0,
-        from: 500, // out of range 0..100
-        to: 1,
+        from: 0,
+        to: 0,
         amount: 5,
         read_only: false,
     };
     let mut svc = Service::start(cfg);
     // The send itself succeeds; the worker dies executing the block.
-    let _ = svc.submit(poison);
+    let _ = svc.submit(tx);
     match svc.shutdown() {
         Err(ServiceError::WorkerPanicked(msg)) => {
             assert!(
-                msg.contains("out of range"),
+                msg.contains("at least one account per shard"),
                 "panic message is preserved: {msg}"
             );
         }
         Ok(r) => panic!("worker should have died, got report {r:?}"),
     }
+}
+
+#[test]
+fn out_of_range_submit_is_rejected_and_the_service_keeps_serving() {
+    // One malformed transaction must not take the worker (and every other
+    // in-flight transaction) down with it: submit rejects it up front,
+    // without taking a queue slot.
+    let accounts = 1_000;
+    let mut cfg = ServiceConfig::new(accounts, 2);
+    cfg.queue_depth = 64;
+    cfg.batch_deadline = Duration::from_millis(250);
+    let mut offered = stream(accounts, 200, 9);
+    for (i, (from, to)) in [(5_000, 1), (1, 5_000), (accounts, 0), (u64::MAX, u64::MAX)]
+        .into_iter()
+        .enumerate()
+    {
+        offered.insert(
+            17 + 31 * i,
+            ClientTx {
+                id: 10_000 + i as u64,
+                from,
+                to,
+                amount: 5,
+                read_only: false,
+            },
+        );
+    }
+    let mut svc = Service::start(cfg);
+    let (mut served, mut shed, mut invalid) = (0u64, 0u64, 0u64);
+    for tx in &offered {
+        let before = svc.backlog();
+        match svc.submit(*tx) {
+            Ok(()) => served += 1,
+            Err(SubmitError::Busy { .. }) => shed += 1,
+            Err(SubmitError::Invalid) => {
+                invalid += 1;
+                assert!(tx.from >= accounts || tx.to >= accounts, "{tx:?}");
+                assert!(svc.backlog() <= before, "a rejected tx takes no slot");
+            }
+            Err(SubmitError::Closed) => panic!("service is open"),
+        }
+    }
+    assert_eq!(invalid, 4, "every malformed transaction is rejected");
+    assert_eq!(served + shed + invalid, offered.len() as u64);
+    let report = svc.shutdown().expect("worker survives malformed submits");
+    assert_eq!(report.txs, served, "every admitted tx got a receipt");
+    assert_eq!(report.shed, shed);
+    assert!(report.commits > 0);
 }
 
 #[test]

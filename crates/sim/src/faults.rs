@@ -416,7 +416,6 @@ impl FaultInjector {
         if m.kernel.frame_of(pid, vpn) != Some(frame) {
             return;
         }
-        m.exec_log.poison_all();
         m.force_swap_out(pid, vpn);
     }
 

@@ -33,13 +33,11 @@
 
 pub mod backend;
 pub mod crash;
-pub mod executor;
 pub mod faults;
 pub mod kernel;
 pub mod locks;
 pub mod logtm;
 pub mod machine;
-pub mod mvmap;
 pub mod ops;
 pub mod ordered;
 pub mod program;
@@ -50,18 +48,14 @@ pub mod stats;
 
 pub use backend::{Backend, SystemKind};
 pub use crash::{CrashImage, CrashPlan};
-pub use executor::{ExecStats, ExecutorConfig, Refusal};
 pub use faults::{
     assert_invariants, check_invariants, FaultAction, FaultEvent, FaultInjector, FaultPlan,
 };
 pub use kernel::{Kernel, KernelConfig, KernelStats, Translation};
 pub use machine::{Machine, MachineConfig};
-pub use mvmap::{MvMap, ReadResult, TxnVersion};
 pub use ops::{Op, OrderedSeq};
 pub use program::ThreadProgram;
 pub use reference::{assert_serializable, crash_reference, diff_against_machine, serial_reference};
-pub use runner::{
-    run, run_parallel, run_with_faults, serialize_programs, speedup_percent, speedup_vs_serial,
-};
-pub use scheduler::{ReadyHeap, Scheduler, Task};
+pub use runner::{run, run_with_faults, serialize_programs, speedup_percent, speedup_vs_serial};
+pub use scheduler::ReadyHeap;
 pub use stats::{CommittedTx, MachineStats};

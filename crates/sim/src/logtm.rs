@@ -190,9 +190,7 @@ impl LogTmSystem {
     }
 
     /// The physical word addresses `tx`'s undo log would restore on abort,
-    /// oldest first. The speculative executor captures these *before* the
-    /// abort runs so it can publish ESTIMATE markers for exactly the words
-    /// the rollback rewrites instead of invalidating every pending run.
+    /// oldest first.
     pub fn log_addrs(&self, tx: TxId) -> Vec<PhysAddr> {
         self.logs
             .get(&tx)

@@ -11,7 +11,6 @@
 //! discard data — which the serial reference executor verifies.
 
 use crate::backend::{Backend, SystemKind};
-use crate::executor::ExecLog;
 use crate::kernel::{Kernel, KernelConfig, Translation};
 use crate::locks::LockAttempt;
 use crate::ops::{Op, OrderedSeq};
@@ -41,7 +40,7 @@ const MAX_EXHAUSTION_RETRIES: u32 = 64;
 /// Debug tracing: set `PTM_TRACE_WORD=<word-aligned virtual address>` to log
 /// every event touching that word's block (accesses, evictions, commits,
 /// aborts) to stderr. Zero cost when unset.
-pub(crate) fn trace_word() -> Option<u64> {
+fn trace_word() -> Option<u64> {
     static WORD: OnceLock<Option<u64>> = OnceLock::new();
     *WORD.get_or_init(|| {
         std::env::var("PTM_TRACE_WORD")
@@ -134,16 +133,6 @@ struct TlbEntry {
     frame: FrameId,
 }
 
-// The epoch executor's speculation workers share a frozen `&Machine` across
-// host threads and exchange per-core state between them; both bounds are
-// load-bearing and must never regress silently.
-fn _assert_thread_safety() {
-    fn is_sync<T: Sync>() {}
-    fn is_send<T: Send>() {}
-    is_sync::<Machine>();
-    is_send::<CoreState>();
-}
-
 /// What an access attempt resolved to.
 pub(crate) enum AccessEffect {
     /// Completed; the op's latency in cycles.
@@ -165,11 +154,11 @@ pub struct Machine {
     pub(crate) kind: SystemKind,
     pub(crate) cores: Vec<CoreState>,
     pub(crate) caches: Vec<Hierarchy>,
-    pub(crate) bus: SystemBus,
+    bus: SystemBus,
     pub(crate) mem: PhysicalMemory,
     pub(crate) kernel: Kernel,
     pub(crate) backend: Backend,
-    pub(crate) spec: SpecBuffers,
+    spec: SpecBuffers,
     /// Write-behind durable log (commit records, undo/redo payloads).
     /// `None` by default: volatile machines pay zero cycles and zero
     /// bookkeeping, keeping every pre-existing run bit-identical.
@@ -187,9 +176,6 @@ pub struct Machine {
     /// a *different* core (abort penalties, thread migration). The run
     /// loops drain this to re-key the ready heap.
     pub(crate) ready_dirty: Vec<usize>,
-    /// Epoch-executor validation log (inert while [`ExecLog::active`] is
-    /// false, i.e. during plain sequential runs).
-    pub(crate) exec_log: ExecLog,
 }
 
 /// Arrival/release bookkeeping for one in-flight barrier. Arrivals are
@@ -251,7 +237,6 @@ impl Machine {
             stats: MachineStats::default(),
             swap_in_delay: 0,
             ready_dirty: Vec::new(),
-            exec_log: ExecLog::inactive(),
             cfg,
             kind,
         }
@@ -542,10 +527,7 @@ impl Machine {
         if self.cores[other].ready_at > now {
             return;
         }
-        // A migration reorders which core runs which thread — nothing
-        // speculated before it can survive, and the partner core's key in
-        // the ready heap changes.
-        self.exec_log.poison_all();
+        // The partner core's key in the ready heap changes.
         self.ready_dirty.push(other);
         if trace_word().is_some() {
             eprintln!("[ptm-trace] migrate core {idx} <-> core {other} now={now}");
@@ -710,24 +692,6 @@ impl Machine {
 
     fn commit(&mut self, idx: usize, now: Cycle) {
         let tx = self.cores[idx].prog.cur_tx().expect("commit inside tx");
-        // A non-overflowed commit under block granularity only drains this
-        // transaction's buffers and clears its tags: its effects are
-        // word-precise, so publish them to the multi-version map instead of
-        // poisoning every run. Overflowed commits toggle selection vectors /
-        // copy back overflow structures (whole frames change meaning), and
-        // word-granularity modes carry precomputed mirror pointers into
-        // co-writers' speculative pages that the cleanup below frees — both
-        // invalidate speculated state wholesale.
-        let overflowed = match &self.backend {
-            Backend::Ptm(p) => p.tx_has_overflow(tx),
-            Backend::Vtm(v) => v.tx_has_overflow(tx),
-            _ => false,
-        };
-        let precise =
-            self.exec_log.active && !self.kind.granularity().word_in_cache() && !overflowed;
-        if !precise {
-            self.exec_log.poison_all();
-        }
         if trace_word().is_some() {
             eprintln!("[ptm-trace] commit {tx} now={now}");
         }
@@ -778,14 +742,6 @@ impl Machine {
                 Backend::Ptm(p) => (p.committed_frame(block), p.mirror_location(block, Some(tx))),
                 _ => (block.frame(), None),
             };
-            if precise {
-                // The drained words become globally visible right here:
-                // publish each so concurrent speculated readers of stale
-                // values fail validation word-by-word.
-                for w in specb.written.iter() {
-                    self.exec_log.note_write(block, w, idx, specb.read_word(w));
-                }
-            }
             let tgt = block.on_frame(frame);
             let mut data = self.mem.read_block(tgt);
             ptm_mem::versions::apply_written_words(&mut data, &specb);
@@ -877,14 +833,6 @@ impl Machine {
                     if let (Some(d), Some(tx)) = (self.durable.as_mut(), tx) {
                         d.note_tx_write(tx);
                     }
-                    // Publish globally visible writes to the multi-version
-                    // map: non-transactional stores and LogTM's eager
-                    // in-place updates. Lazily buffered transactional
-                    // writes stay invisible until their commit drains them.
-                    if tx.is_none() || matches!(self.backend, Backend::LogTm(_)) {
-                        self.exec_log
-                            .note_write(pa.block(), pa.word_in_block(), idx, value);
-                    }
                     self.note_page_touch(idx, pid, va.vpn(), tx.is_some());
                     self.stats.mem_ops += 1;
                     self.cores[idx].prog.advance();
@@ -916,7 +864,7 @@ impl Machine {
     /// (word-granularity configurations only): the cached copy proves the
     /// block was fetched conflict-free, but an overflowed transaction may
     /// own *this word* if the access is the first touch of it.
-    pub(crate) fn hit_needs_overflow_check(
+    fn hit_needs_overflow_check(
         &self,
         idx: usize,
         block: PhysBlock,
@@ -971,7 +919,7 @@ impl Machine {
     /// Records page-touch statistics for one memory op, memoized per core:
     /// consecutive ops on the same page skip the hash-set insert entirely.
     #[inline]
-    pub(crate) fn note_page_touch(&mut self, idx: usize, pid: ProcessId, vpn: Vpn, tx_write: bool) {
+    fn note_page_touch(&mut self, idx: usize, pid: ProcessId, vpn: Vpn, tx_write: bool) {
         let key = (pid, vpn);
         if self.cores[idx].last_stat_page != Some(key) {
             self.stats.pages.insert(key);
@@ -985,7 +933,7 @@ impl Machine {
 
     /// The transaction context of a core, if it is inside one *and* the mode
     /// is transactional.
-    pub(crate) fn tx_context(&self, idx: usize) -> Option<TxId> {
+    fn tx_context(&self, idx: usize) -> Option<TxId> {
         if self.kind.is_transactional() {
             self.cores[idx].prog.cur_tx()
         } else {
@@ -994,7 +942,7 @@ impl Machine {
     }
 
     /// Consults core `idx`'s TLB for `(pid, vpn)`.
-    pub(crate) fn tlb_lookup(&self, idx: usize, pid: ProcessId, vpn: Vpn) -> Option<FrameId> {
+    fn tlb_lookup(&self, idx: usize, pid: ProcessId, vpn: Vpn) -> Option<FrameId> {
         let tlb = &self.cores[idx].tlb;
         if tlb.is_empty() {
             return None;
@@ -1021,8 +969,6 @@ impl Machine {
     /// mapping. Called automatically on swap-out; tests that remap pages
     /// directly through [`Machine::kernel_mut`] must call it themselves.
     pub fn tlb_shootdown(&mut self, pid: ProcessId, vpn: Vpn) {
-        // A mapping is dying: speculated translations may be stale.
-        self.exec_log.poison_all();
         for core in &mut self.cores {
             if core.tlb.is_empty() {
                 continue;
@@ -1072,9 +1018,6 @@ impl Machine {
                     // Swap the page (and, under PTM, its shadow) back in,
                     // then retry the access after the fault latency. The
                     // retry's translation installs the new TLB entry.
-                    // Swap-in rewrites page tables and moves page data:
-                    // everything speculated from the old state is stale.
-                    self.exec_log.poison_all();
                     let frame = match &mut self.backend {
                         Backend::Ptm(_) => match self.ptm_swap_in_with_recovery(idx, slot, now) {
                             Ok(f) => {
@@ -1107,7 +1050,6 @@ impl Machine {
                     // aborting the youngest live transaction (its shadow
                     // pages and buffers come back to the pool), then let the
                     // retry take the minor fault again.
-                    self.exec_log.poison_all();
                     let requester = self.tx_context(idx);
                     if let Some(victim) = self.youngest_live_tx(requester) {
                         self.abort_tx(victim, now);
@@ -1402,17 +1344,6 @@ impl Machine {
         //    lines with word-disjoint writes are *preserved* (sub-block
         //    ownership); the hit path compensates by conflict-checking any
         //    hit on a word the line's own masks do not cover.
-        //
-        //    A supply can invalidate, downgrade or displace the block in any
-        //    other cache — if a core with a pending speculative run holds
-        //    it, that run was computed against state this step changes.
-        if self.exec_log.active {
-            for c in 0..self.caches.len() {
-                if c != idx && self.exec_log.is_pending(c) && self.caches[c].line(block).is_some() {
-                    self.exec_log.poison_core(c);
-                }
-            }
-        }
         let mut outcome = supply(
             &mut self.caches,
             idx,
@@ -1538,32 +1469,6 @@ impl Machine {
             eprintln!("[ptm-trace] abort {tx} now={now}");
         }
         let owner = *self.tx_owner.get(&tx).expect("abort of unknown tx");
-        // A non-overflowed abort under block granularity only touches the
-        // owner: tags swept, lazy buffers discarded (never visible), and —
-        // LogTM only — logged words rolled back in place. The owner's run is
-        // dead either way, but other cores' runs survive: mark each rolled
-        // back word as an ESTIMATE so speculated reads of the undone values
-        // fail validation precisely. Everything else (overflow structures,
-        // word-granularity mirror pointers) invalidates wholesale.
-        let overflowed = match &self.backend {
-            Backend::Ptm(p) => p.tx_has_overflow(tx),
-            Backend::Vtm(v) => v.tx_has_overflow(tx),
-            _ => false,
-        };
-        let precise =
-            self.exec_log.active && !self.kind.granularity().word_in_cache() && !overflowed;
-        if precise {
-            self.exec_log.poison_core(owner);
-            if let Backend::LogTm(l) = &self.backend {
-                // Capture before `abort` consumes the log below.
-                for pa in l.log_addrs(tx) {
-                    self.exec_log
-                        .note_estimate(pa.block(), pa.word_in_block(), owner);
-                }
-            }
-        } else {
-            self.exec_log.poison_all();
-        }
         self.ready_dirty.push(owner);
         // Migration can spread a transaction's lines across cores: sweep
         // every cache.
@@ -1617,10 +1522,6 @@ impl Machine {
                 // cleared only on its own core); drop it.
                 return false;
             }
-            // A live transactional eviction creates or mutates overflow
-            // structures (and may abort a bystander): the frozen backend
-            // lookups speculation depends on are about to change.
-            self.exec_log.poison_all();
             // wd:cache (§6.3): coherence tracks words, but the overflowed
             // structures track one writer per block — evicting a dirty
             // block that a different live transaction already
@@ -1796,11 +1697,7 @@ impl Machine {
             // Non-transactional dirty writeback.
             let _ = self.bus.mem_access(now);
             if let Backend::Ptm(p) = &mut self.backend {
-                if p.on_nontx_dirty_writeback(line.block(), &mut self.mem) {
-                    // Lazy shadow migration moved page data and flipped the
-                    // select bit: committed-frame lookups are stale.
-                    self.exec_log.poison_all();
-                }
+                p.on_nontx_dirty_writeback(line.block(), &mut self.mem);
             }
         }
         false
@@ -1810,7 +1707,7 @@ impl Machine {
     // Functional data movement
     // ------------------------------------------------------------------
 
-    pub(crate) fn read_word_functional(
+    fn read_word_functional(
         &self,
         tx: Option<TxId>,
         pid: ProcessId,
@@ -1922,7 +1819,7 @@ impl Machine {
 
     /// The transaction's consistent view of a whole block (used to seed a
     /// fresh speculative buffer).
-    pub(crate) fn tx_block_snapshot(
+    fn tx_block_snapshot(
         &self,
         tx: TxId,
         pid: ProcessId,
@@ -1960,10 +1857,8 @@ impl Machine {
     }
 
     /// The committed (non-transactional) view of a whole block — what a
-    /// freshly begun transaction with no buffered history observes. Seeds
-    /// speculative buffers for transactions the epoch executor itself
-    /// begins, whose `TxId` does not exist yet at speculation time.
-    pub(crate) fn committed_block_snapshot(&self, block: PhysBlock) -> [u8; BLOCK_SIZE] {
+    /// freshly begun transaction with no buffered history observes.
+    fn committed_block_snapshot(&self, block: PhysBlock) -> [u8; BLOCK_SIZE] {
         match &self.backend {
             Backend::Ptm(p) => self
                 .mem

@@ -2,7 +2,6 @@
 //! single-threaded baseline, and compute the paper's speedup metric.
 
 use crate::backend::SystemKind;
-use crate::executor::{ExecStats, ExecutorConfig};
 use crate::machine::{Machine, MachineConfig};
 use crate::program::ThreadProgram;
 use ptm_types::{ProcessId, ThreadId};
@@ -28,19 +27,6 @@ pub fn run_with_faults(
     let mut m = Machine::new(cfg, kind, programs);
     m.run_with_faults(plan);
     m
-}
-
-/// Runs `programs` through the speculative epoch executor (bit-identical
-/// results to [`run`]) and returns the machine plus the executor counters.
-pub fn run_parallel(
-    cfg: MachineConfig,
-    kind: SystemKind,
-    programs: Vec<ThreadProgram>,
-    exec: &ExecutorConfig,
-) -> (Machine, ExecStats) {
-    let mut m = Machine::new(cfg, kind, programs);
-    let xs = m.run_parallel(exec);
-    (m, xs)
 }
 
 /// Builds the single-threaded baseline program: all threads' operations

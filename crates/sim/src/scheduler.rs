@@ -4,18 +4,12 @@
 //! [`Machine::run`](crate::machine::Machine::run) processes cores in global
 //! time order — smallest `ready_at` first, ties broken by lowest core index
 //! (the order a stable `min_by_key` scan produces). The heap replaces that
-//! O(cores) scan per step with an O(log cores) update, and doubles as the
-//! *canonical-order oracle* for the epoch executor: whatever core the heap
-//! yields next is, by definition, the core the sequential schedule would
-//! step next, so speculative work is validated against heap order.
+//! O(cores) scan per step with an O(log cores) update.
 //!
 //! Entries are keyed lexicographically by `(ready_at, core)`; every key is
 //! unique (one entry per core), so ordering is total and deterministic.
 
-use crate::mvmap::TxnVersion;
 use ptm_types::Cycle;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// An index-min binary heap of `(ready_at, core)` pairs with a position map
 /// for O(log n) re-keying of an arbitrary core.
@@ -170,247 +164,6 @@ impl ReadyHeap {
     }
 }
 
-// ---------------------------------------------------------------------
-// The Block-STM task scheduler
-// ---------------------------------------------------------------------
-
-/// A unit of Block-STM work handed to a host thread.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Task {
-    /// Execute (or re-execute) the given incarnation.
-    Execution(TxnVersion),
-    /// Validate the read set of the given executed incarnation.
-    Validation(TxnVersion),
-    /// Nothing to hand out right now; ask again.
-    Retry,
-    /// Every transaction is executed and validated: workers may exit.
-    Done,
-}
-
-/// Lifecycle of one transaction slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Status {
-    ReadyToExecute,
-    Executing,
-    Executed,
-    Aborting,
-}
-
-/// The lock-free-ish Block-STM scheduler: two atomic counters dispense
-/// Execution and Validation tasks over a preset transaction order,
-/// validation preferred. A validation failure re-incarnates its
-/// transaction (incarnation + 1) and *decreases* the validation counter so
-/// every higher-indexed transaction revalidates — the "validation wave"
-/// that makes optimistic execution converge on the sequential semantics.
-/// `Done` is detected when both counters have run off the end with no task
-/// still in flight.
-///
-/// Per-slot status transitions sit behind one tiny mutex each (status +
-/// incarnation move together); the dispatch counters themselves are
-/// plain atomics, so idle workers never serialize on a global lock.
-#[derive(Debug)]
-pub struct Scheduler {
-    /// Preset number of transactions in the block.
-    num_txns: usize,
-    /// Next transaction index to hand out for execution.
-    execution_idx: AtomicUsize,
-    /// Next transaction index to hand out for validation.
-    validation_idx: AtomicUsize,
-    /// Times the validation counter was decreased (wave count).
-    decrease_cnt: AtomicUsize,
-    /// Tasks currently checked out by workers.
-    num_active_tasks: AtomicUsize,
-    /// Latched once `done()` first observes completion.
-    done_marker: AtomicBool,
-    /// `(incarnation, status)` per transaction slot.
-    txn_status: Vec<Mutex<(u32, Status)>>,
-}
-
-impl Scheduler {
-    /// A scheduler over `num_txns` transactions in preset order.
-    pub fn new(num_txns: usize) -> Self {
-        Scheduler {
-            num_txns,
-            execution_idx: AtomicUsize::new(0),
-            validation_idx: AtomicUsize::new(0),
-            decrease_cnt: AtomicUsize::new(0),
-            num_active_tasks: AtomicUsize::new(0),
-            done_marker: AtomicBool::new(false),
-            txn_status: (0..num_txns)
-                .map(|_| Mutex::new((0, Status::ReadyToExecute)))
-                .collect(),
-        }
-    }
-
-    /// Whether every transaction is executed and validated.
-    pub fn done(&self) -> bool {
-        if self.done_marker.load(Ordering::Acquire) {
-            return true;
-        }
-        let finished = self.execution_idx.load(Ordering::Acquire) >= self.num_txns
-            && self.validation_idx.load(Ordering::Acquire) >= self.num_txns
-            && self.num_active_tasks.load(Ordering::Acquire) == 0;
-        if finished {
-            self.done_marker.store(true, Ordering::Release);
-        }
-        finished
-    }
-
-    /// Validation waves triggered so far (counter decreases).
-    pub fn validation_waves(&self) -> usize {
-        self.decrease_cnt.load(Ordering::Relaxed)
-    }
-
-    /// The current incarnation number of a transaction slot.
-    pub fn incarnation(&self, tx_index: u32) -> u32 {
-        self.txn_status[tx_index as usize].lock().unwrap().0
-    }
-
-    /// Dispenses the next task, preferring validation (lower indices
-    /// revalidate before higher indices execute further ahead).
-    pub fn next_task(&self) -> Task {
-        if self.done() {
-            return Task::Done;
-        }
-        let val = self.validation_idx.load(Ordering::Acquire);
-        let exec = self.execution_idx.load(Ordering::Acquire);
-        if val < exec {
-            if let Some(v) = self.next_version_to_validate() {
-                return Task::Validation(v);
-            }
-        }
-        if let Some(v) = self.next_version_to_execute() {
-            return Task::Execution(v);
-        }
-        if self.done() {
-            Task::Done
-        } else {
-            Task::Retry
-        }
-    }
-
-    fn next_version_to_execute(&self) -> Option<TxnVersion> {
-        if self.execution_idx.load(Ordering::Acquire) >= self.num_txns {
-            return None;
-        }
-        self.num_active_tasks.fetch_add(1, Ordering::AcqRel);
-        let idx = self.execution_idx.fetch_add(1, Ordering::AcqRel);
-        if idx >= self.num_txns {
-            self.num_active_tasks.fetch_sub(1, Ordering::AcqRel);
-            return None;
-        }
-        match self.try_incarnate(idx as u32) {
-            Some(v) => Some(v),
-            None => {
-                self.num_active_tasks.fetch_sub(1, Ordering::AcqRel);
-                None
-            }
-        }
-    }
-
-    fn next_version_to_validate(&self) -> Option<TxnVersion> {
-        if self.validation_idx.load(Ordering::Acquire) >= self.num_txns {
-            return None;
-        }
-        self.num_active_tasks.fetch_add(1, Ordering::AcqRel);
-        let idx = self.validation_idx.fetch_add(1, Ordering::AcqRel);
-        if idx < self.num_txns {
-            let (incarnation, status) = *self.txn_status[idx].lock().unwrap();
-            if status == Status::Executed {
-                return Some(TxnVersion {
-                    tx_index: idx as u32,
-                    incarnation,
-                });
-            }
-        }
-        self.num_active_tasks.fetch_sub(1, Ordering::AcqRel);
-        None
-    }
-
-    /// Claims `tx_index` for execution if it is ready, returning the
-    /// version to run.
-    fn try_incarnate(&self, tx_index: u32) -> Option<TxnVersion> {
-        let mut st = self.txn_status[tx_index as usize].lock().unwrap();
-        if st.1 == Status::ReadyToExecute {
-            st.1 = Status::Executing;
-            Some(TxnVersion {
-                tx_index,
-                incarnation: st.0,
-            })
-        } else {
-            None
-        }
-    }
-
-    /// Marks an execution finished. `wrote_new_location` reports whether
-    /// this incarnation wrote somewhere its previous incarnation did not —
-    /// if so, every higher-indexed transaction must revalidate (counter
-    /// decrease); otherwise validating just this transaction suffices and
-    /// the task is returned directly to the finishing worker.
-    pub fn finish_execution(&self, version: TxnVersion, wrote_new_location: bool) -> Task {
-        {
-            let mut st = self.txn_status[version.tx_index as usize].lock().unwrap();
-            debug_assert_eq!(st.1, Status::Executing, "finish of a non-running version");
-            st.1 = Status::Executed;
-        }
-        if self.validation_idx.load(Ordering::Acquire) > version.tx_index as usize {
-            // The validation frontier already passed us: our writes landed
-            // behind it, so revalidation is needed — everything above us if
-            // the write set grew, otherwise just this version (handed back
-            // to the finishing worker without touching the counters).
-            if wrote_new_location {
-                self.decrease_validation_idx(version.tx_index as usize);
-            } else {
-                return Task::Validation(version);
-            }
-        }
-        self.num_active_tasks.fetch_sub(1, Ordering::AcqRel);
-        Task::Retry
-    }
-
-    /// Attempts to claim an executed incarnation for abort (exactly one
-    /// concurrent validator wins). The winner re-incarnates it through
-    /// [`Scheduler::finish_validation`].
-    pub fn try_validation_abort(&self, version: TxnVersion) -> bool {
-        let mut st = self.txn_status[version.tx_index as usize].lock().unwrap();
-        if *st == (version.incarnation, Status::Executed) {
-            st.1 = Status::Aborting;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Marks a validation finished. On abort (after a successful
-    /// [`Scheduler::try_validation_abort`]) the transaction re-incarnates,
-    /// the validation counter rewinds past it, and if execution has already
-    /// run ahead the re-execution task is handed straight back.
-    pub fn finish_validation(&self, version: TxnVersion, aborted: bool) -> Task {
-        if aborted {
-            {
-                let mut st = self.txn_status[version.tx_index as usize].lock().unwrap();
-                debug_assert_eq!(st.1, Status::Aborting, "abort without claim");
-                *st = (version.incarnation + 1, Status::ReadyToExecute);
-            }
-            self.decrease_validation_idx(version.tx_index as usize + 1);
-            if self.execution_idx.load(Ordering::Acquire) > version.tx_index as usize {
-                if let Some(v) = self.try_incarnate(version.tx_index) {
-                    return Task::Execution(v);
-                }
-            }
-        }
-        self.num_active_tasks.fetch_sub(1, Ordering::AcqRel);
-        Task::Retry
-    }
-
-    /// Rewinds the validation frontier to `target`, forcing everything at
-    /// or above it to revalidate (a decreasing validation wave).
-    fn decrease_validation_idx(&self, target: usize) {
-        self.validation_idx.fetch_min(target, Ordering::AcqRel);
-        self.decrease_cnt.fetch_add(1, Ordering::AcqRel);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -496,150 +249,5 @@ mod tests {
         assert!(h.is_empty());
         h.remove(2); // removing an absent core is a no-op
         assert!(h.is_empty());
-    }
-
-    /// Drives a scheduler to completion on the calling thread, executing
-    /// and validating every dispensed task. `abort_once(v)` decides
-    /// whether a validation should fail (each version at most once).
-    fn drive(
-        s: &Scheduler,
-        mut abort_once: impl FnMut(TxnVersion) -> bool,
-    ) -> (Vec<u32>, Vec<u32>) {
-        let n = s.num_txns;
-        let mut executed = vec![0u32; n];
-        let mut validated = vec![0u32; n];
-        let mut guard = 0;
-        let mut task = s.next_task();
-        while task != Task::Done {
-            guard += 1;
-            assert!(guard < 10_000, "scheduler failed to converge");
-            task = match task {
-                Task::Execution(v) => {
-                    executed[v.tx_index as usize] += 1;
-                    // First incarnations "write a new location".
-                    s.finish_execution(v, v.incarnation == 0)
-                }
-                Task::Validation(v) => {
-                    validated[v.tx_index as usize] += 1;
-                    if abort_once(v) && s.try_validation_abort(v) {
-                        s.finish_validation(v, true)
-                    } else {
-                        s.finish_validation(v, false)
-                    }
-                }
-                Task::Retry => s.next_task(),
-                Task::Done => unreachable!(),
-            };
-        }
-        (executed, validated)
-    }
-
-    #[test]
-    fn scheduler_runs_every_txn_once_without_conflicts() {
-        let s = Scheduler::new(5);
-        let (executed, validated) = drive(&s, |_| false);
-        assert!(s.done());
-        assert_eq!(executed, vec![1; 5]);
-        assert!(validated.iter().all(|&v| v >= 1), "{validated:?}");
-        assert_eq!((0..5).map(|i| s.incarnation(i)).max(), Some(0));
-    }
-
-    #[test]
-    fn aborts_reincarnate_and_rewind_the_validation_wave() {
-        let s = Scheduler::new(6);
-        let mut aborted = false;
-        let (executed, validated) = drive(&s, |v| {
-            if v.tx_index == 2 && v.incarnation == 0 && !aborted {
-                aborted = true;
-                true
-            } else {
-                false
-            }
-        });
-        assert!(s.done());
-        assert_eq!(s.incarnation(2), 1, "aborted txn re-incarnated");
-        assert_eq!(executed[2], 2, "re-executed after abort");
-        assert!(validated[2] >= 2, "revalidated after re-execution");
-        assert!(s.validation_waves() >= 1, "abort rewound the frontier");
-        // Transactions above the abort revalidate at least once more than
-        // the minimum when the wave passes them again.
-        assert!(executed[3..].iter().all(|&e| e == 1));
-    }
-
-    #[test]
-    fn stale_validation_abort_claims_fail() {
-        let s = Scheduler::new(1);
-        let v0 = match s.next_task() {
-            Task::Execution(v) => v,
-            t => panic!("expected execution, got {t:?}"),
-        };
-        let after = s.finish_execution(v0, false);
-        // A claim against a later incarnation's version must fail.
-        assert!(!s.try_validation_abort(TxnVersion {
-            tx_index: 0,
-            incarnation: 7
-        }));
-        // The real claim wins exactly once.
-        assert!(s.try_validation_abort(v0));
-        assert!(!s.try_validation_abort(v0));
-        let reexec = s.finish_validation(v0, true);
-        assert_eq!(
-            reexec,
-            Task::Execution(TxnVersion {
-                tx_index: 0,
-                incarnation: 1
-            })
-        );
-        let _ = after;
-    }
-
-    #[test]
-    fn scheduler_converges_under_host_concurrency() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        let n = 64;
-        let s = Scheduler::new(n);
-        let abort_budget: Vec<AtomicU32> = (0..n)
-            .map(|i| AtomicU32::new(u32::from(i % 7 == 3)))
-            .collect();
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    let mut task = s.next_task();
-                    let mut spins = 0u32;
-                    while task != Task::Done {
-                        task = match task {
-                            Task::Execution(v) => s.finish_execution(v, v.incarnation == 0),
-                            Task::Validation(v) => {
-                                let want_abort = abort_budget[v.tx_index as usize]
-                                    .fetch_update(Ordering::AcqRel, Ordering::Acquire, |b| {
-                                        b.checked_sub(1)
-                                    })
-                                    .is_ok();
-                                if want_abort && s.try_validation_abort(v) {
-                                    s.finish_validation(v, true)
-                                } else {
-                                    s.finish_validation(v, false)
-                                }
-                            }
-                            Task::Retry => {
-                                spins += 1;
-                                assert!(spins < 1_000_000, "livelock");
-                                std::hint::spin_loop();
-                                s.next_task()
-                            }
-                            Task::Done => unreachable!(),
-                        };
-                    }
-                });
-            }
-        });
-        assert!(s.done());
-        for i in 0..n {
-            let expect = u32::from(i % 7 == 3);
-            assert!(
-                s.incarnation(i as u32) >= expect,
-                "txn {i} never re-incarnated"
-            );
-        }
     }
 }

@@ -19,9 +19,9 @@ use ptm_sim::{Machine, MachineConfig, Op, SystemKind, ThreadProgram};
 use ptm_types::{Granularity, ProcessId, ThreadId, VirtAddr};
 
 // ---------------------------------------------------------------------------
-// Random workload generation (shared-vs-private address pool, like
-// mvmap_prop's executor part, but biased toward transactions that write:
-// undo/redo logging only fires on dirty overflows and commits).
+// Random workload generation (shared-vs-private address pool, biased
+// toward transactions that write: undo/redo logging only fires on dirty
+// overflows and commits).
 // ---------------------------------------------------------------------------
 
 #[derive(Debug, Clone)]
@@ -352,15 +352,4 @@ fn logtm_word_undo_replay_restores_midflight_stores() {
         assert!(img.recover().is_noop(), "second recovery at step {step}");
     }
     assert!(exercised, "no crash step caught the transaction mid-flight");
-}
-
-/// The epoch executor refuses a durable machine: speculation replays
-/// steps, which would double-append log records.
-#[test]
-#[should_panic(expected = "epoch executor does not support a durable log")]
-fn epoch_executor_refuses_durable_machines() {
-    let programs = programs_from(&[vec![Segment::Tx(vec![(0, true)])]]);
-    let mut m = Machine::new(MachineConfig::default(), SystemKind::CopyPtm, programs);
-    m.enable_durability(DurabilityConfig::zero_cost_eager());
-    m.run_parallel(&ptm_sim::ExecutorConfig::default());
 }

@@ -128,14 +128,6 @@ impl VtmSystem {
         self.tstate.is_live(tx)
     }
 
-    /// Whether `tx` has any XADT state. Without it, commit and abort are
-    /// pure status transitions (no copy-back, no walks) — the speculative
-    /// executor relies on this to avoid global invalidation on the common
-    /// in-cache commit.
-    pub fn tx_has_overflow(&self, tx: TxId) -> bool {
-        !self.xadt.blocks_of(tx).is_empty()
-    }
-
     /// Checks a cache miss against the overflow state: XF filter first, then
     /// XADC, then (on a miss) an XADT walk.
     pub fn check_conflict(
