@@ -1,8 +1,9 @@
 //! The crash-recovery harness: for every transactional system kind, crashes
-//! each workload at every K-th scheduler step (clean and torn), recovers
-//! the durable image, and asserts word-identical committed memory against
-//! the committed-prefix serializability oracle — plus idempotence of the
-//! recovery pass. Emits `BENCH_crash.json`.
+//! each workload at every K-th scheduler step (clean and torn) and at
+//! seeded extra steps inside a fault storm, recovers the durable image,
+//! and asserts word-identical committed memory against the committed-prefix
+//! serializability oracle — plus idempotence of the recovery pass. Emits
+//! `BENCH_crash.json`.
 //!
 //! ```text
 //! cargo run -p ptm-bench --release --bin crash

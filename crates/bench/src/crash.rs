@@ -5,13 +5,14 @@
 //! image, and checks the recovered committed memory word-for-word against
 //! the committed-prefix oracle ([`ptm_sim::reference::crash_reference`]) —
 //! plus idempotence of the recovery pass itself. A seed adds extra
-//! randomly-placed crash points, and the whole sweep is digested so the
-//! report alone reproduces it.
+//! randomly-placed crash points, each landing in a fault storm derived from
+//! the same seed (grid points stay fault-free), and the whole sweep is
+//! digested so the report alone reproduces it.
 
 use crate::faults::cell_machine;
 use crate::parallel::{CellSpec, CellWorkload};
 use ptm_sim::crash::CrashPlan;
-use ptm_sim::SystemKind;
+use ptm_sim::{FaultPlan, SystemKind};
 use ptm_types::rng::{Fnv1a64, SplitMix64};
 use ptm_types::Granularity;
 use ptm_workloads::Scale;
@@ -88,7 +89,9 @@ pub fn crash_cells(scale: Scale) -> Vec<CellSpec> {
 
 /// Sweeps one cell: crashes at every `stride`-th step (every K-th step; the
 /// default stride lands ~16 grid points), runs each PTM grid point a second
-/// time with the torn mode on, and adds `extra_random` seed-derived points.
+/// time with the torn mode on, and adds `extra_random` seed-derived points,
+/// which crash in the middle of a `FaultPlan::from_seed` storm whose seed
+/// also derives from `seed`.
 ///
 /// # Panics
 ///
@@ -103,7 +106,9 @@ pub fn sweep_cell(
     let sweep_start = Instant::now();
     let total_steps = {
         let (mut probe, _) = cell_machine(spec);
-        probe.run_until_crash(&CrashPlan::at_step(u64::MAX)).step
+        probe
+            .run_until_crash(&CrashPlan::at_step(u64::MAX), &FaultPlan::empty())
+            .step
     };
     let stride = stride_override.unwrap_or((total_steps / 16).max(1)).max(1);
 
@@ -119,10 +124,18 @@ pub fn sweep_cell(
         }
         step = (step + stride).min(total_steps);
     }
+    let grid_points = plans.len();
     let mut rng = SplitMix64::new(seed);
+    let storm = FaultPlan::from_seed(rng.next_u64(), total_steps, 12);
+    let storm_steps = {
+        let (mut probe, _) = cell_machine(spec);
+        probe
+            .run_until_crash(&CrashPlan::at_step(u64::MAX), &storm)
+            .step
+    };
     for _ in 0..extra_random {
         plans.push(CrashPlan {
-            step: rng.next_u64() % (total_steps + 1),
+            step: rng.next_u64() % (storm_steps + 1),
             torn: is_ptm(spec.kind) && rng.next_u64() & 1 == 1,
         });
     }
@@ -146,10 +159,17 @@ pub fn sweep_cell(
         wall_ns: 0,
     };
 
-    for plan in &plans {
+    let no_faults = FaultPlan::empty();
+    for (i, plan) in plans.iter().enumerate() {
         digest.write_u64(plan.digest());
+        let faults = if i < grid_points {
+            &no_faults
+        } else {
+            digest.write_u64(storm.digest());
+            &storm
+        };
         let (mut m, programs) = cell_machine(spec);
-        let mut img = m.run_until_crash(plan);
+        let mut img = m.run_until_crash(plan, faults);
         let rec_start = Instant::now();
         let stats = img.recover();
         let rec_ns = rec_start.elapsed().as_nanos() as u64;
@@ -193,6 +213,30 @@ mod tests {
         // two seeded extras.
         assert!(r.points > 2 * (r.total_steps / r.stride));
         assert!(r.total_steps > 0);
+
+        // The seeded extras crash inside a fault storm: a coarse grid with
+        // many extras is mostly storm points, and must recover just as
+        // cleanly.
+        let storm = sweep_cell(
+            &spec(SystemKind::SelectPtm(Granularity::Block)),
+            Some(u64::MAX),
+            7,
+            12,
+        );
+        assert_eq!(
+            storm.points,
+            4 + 12,
+            "two grid steps, clean and torn, plus extras"
+        );
+        assert_eq!(storm.mismatches, 0, "oracle failed under a fault storm");
+        assert_eq!(
+            storm.non_idempotent, 0,
+            "recovery under a fault storm was not idempotent"
+        );
+        assert!(
+            storm.transactions_discarded > 0,
+            "no storm crash caught a live transaction"
+        );
     }
 
     #[test]

@@ -21,7 +21,7 @@ use crate::parallel::{CellSpec, CellWorkload};
 use ptm_core::durability::{DurabilityConfig, ForcePolicy, MAX_LOG_RETRIES};
 use ptm_mem::{LogDevConfig, LogFaultPlan};
 use ptm_sim::crash::CrashPlan;
-use ptm_sim::SystemKind;
+use ptm_sim::{FaultPlan, SystemKind};
 use ptm_types::rng::{Fnv1a64, SplitMix64};
 use ptm_types::Granularity;
 use ptm_workloads::Scale;
@@ -264,7 +264,7 @@ pub fn sweep_durable_cell(
     // commit-latency-vs-policy data, and its step count sizes the grid.
     let (total_steps, probe) = {
         let (mut m, _) = durable_machine(spec, policy, fault_seed);
-        let img = m.run_until_crash(&CrashPlan::at_step(u64::MAX));
+        let img = m.run_until_crash(&CrashPlan::at_step(u64::MAX), &FaultPlan::empty());
         assert!(img.finished, "probe run must complete");
         let dur = *m.durable_stats().expect("durable machine");
         let dev = *m.log_dev_stats().expect("durable machine");
@@ -340,7 +340,7 @@ pub fn sweep_durable_cell(
     for plan in &plans {
         digest.write_u64(plan.digest());
         let (mut m, programs) = durable_machine(spec, policy, fault_seed);
-        let mut img = m.run_until_crash(plan);
+        let mut img = m.run_until_crash(plan, &FaultPlan::empty());
         let log = img.log.as_ref().expect("durable crash image carries a log");
         let log_bytes = log.bytes.len() as u64;
         r.torn_appends += log.torn_appends;

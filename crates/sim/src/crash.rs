@@ -2,9 +2,9 @@
 //!
 //! A [`CrashPlan`] halts a [`Machine`] at an arbitrary scheduler-step
 //! boundary, the way a hostile power cut would: nothing gets to flush,
-//! nothing gets to finish. [`Machine::run_until_crash`] captures a
-//! [`CrashImage`] — exactly the state the durable substrates would hold at
-//! that instant:
+//! nothing gets to finish — not even a fault storm in progress.
+//! [`Machine::run_until_crash`] captures a [`CrashImage`]: exactly the state
+//! the durable substrates would hold at that instant:
 //!
 //! * physical memory and the swap device (functional data is write-through,
 //!   so no cache flush is owed — caches and TLBs are timing-only);
@@ -24,6 +24,7 @@
 //! ([`crate::reference::crash_reference`]).
 
 use crate::backend::{Backend, SystemKind};
+use crate::faults::FaultPlan;
 use crate::kernel::Kernel;
 use crate::machine::Machine;
 use crate::program::ThreadProgram;
@@ -130,33 +131,18 @@ pub struct CrashImage {
 }
 
 impl Machine {
-    /// Runs until the plan's crash step (or completion, whichever comes
-    /// first) and captures the durable [`CrashImage`]. The machine itself is
-    /// left at the crash point and should be discarded — a crash-stop has no
-    /// "afterwards".
+    /// Runs under `faults` until the plan's crash step (or completion) and
+    /// captures the durable [`CrashImage`]. Fault pressure (hostage frames,
+    /// the TAV cap) is not durable state and is released first. The machine
+    /// is left at the crash point and should be discarded.
     ///
     /// # Panics
     ///
     /// Panics if the machine stops making progress before the crash step (a
     /// simulator bug, not a workload property).
-    pub fn run_until_crash(&mut self, plan: &CrashPlan) -> CrashImage {
-        let mut guard: u64 = 0;
-        let limit = self.progress_limit();
-        let mut heap = self.build_ready_heap();
-        let mut finished = true;
-        while let Some((_, idx)) = heap.peek() {
-            if guard >= plan.step {
-                finished = false;
-                break;
-            }
-            self.step(idx);
-            self.sync_heap(&mut heap, idx);
-            guard += 1;
-            if guard >= limit {
-                self.progress_panic();
-            }
-        }
-        self.finalize_stats();
+    pub fn run_until_crash(&mut self, plan: &CrashPlan, faults: &FaultPlan) -> CrashImage {
+        let step = self.drive(faults, plan.step);
+        let finished = self.cores.iter().all(|c| c.prog.is_finished());
 
         let transactional = self.kind.is_transactional();
         let watermarks = self
@@ -220,7 +206,7 @@ impl Machine {
 
         CrashImage {
             kind: self.kind,
-            step: guard,
+            step,
             finished,
             torn,
             commit_log: self.stats.commit_log.clone(),

@@ -5,9 +5,9 @@
 //! *step index* of the machine's scheduling loop (not a cycle — step
 //! indices are stable across timing changes within a run, which is what
 //! makes shrinking a failing plan meaningful). [`Machine::run_with_faults`]
-//! interleaves the plan with the normal `run` loop; an **empty plan is
-//! bit-identical to [`Machine::run`]** — same checksums, same stats — so
-//! the harness can be left wired in permanently.
+//! hands the plan to the step driver that every run goes through; an
+//! **empty plan is bit-identical to [`Machine::run`]** — same checksums,
+//! same stats — because `run` is the same call with an empty plan.
 //!
 //! The events model the hostile environments of §3.5/§4.7: forced context
 //! switches and thread migrations mid-transaction, swap-outs of hot
@@ -15,12 +15,11 @@
 //! pool drains to almost nothing), TAV-arena caps, and slow swap devices.
 //! Resource-pressure events always come in pairs (`SqueezeMemory` →
 //! `ReleaseMemory`, `CapTavArena` → `UncapTavArena`) so a run can stall but
-//! never deadlock; [`FaultInjector::teardown`] releases anything still held
-//! when the run finishes early.
+//! never deadlock; the driver releases anything still held when the run
+//! finishes early.
 
 use crate::backend::Backend;
 use crate::machine::Machine;
-use crate::scheduler::ReadyHeap;
 use ptm_cache::flush_non_tx_lines;
 use ptm_types::rng::{splitmix64, Fnv1a64};
 use ptm_types::{FrameId, PhysBlock, ProcessId, Vpn};
@@ -221,48 +220,42 @@ impl FaultPlan {
     }
 }
 
-/// Walks a [`FaultPlan`] alongside the machine's scheduling loop, holding
-/// the resources (hostage frames) some events acquire.
-pub struct FaultInjector {
+/// Walks a [`FaultPlan`] alongside the step driver, holding the resources
+/// (hostage frames) some events acquire.
+pub(crate) struct FaultInjector {
     events: Vec<FaultEvent>,
     cursor: usize,
     hostages: Vec<FrameId>,
-    /// Events that fired (for tests asserting a plan actually did anything).
-    pub fired: usize,
 }
 
 impl FaultInjector {
     /// An injector over a normalized copy of `plan`.
-    pub fn new(plan: &FaultPlan) -> Self {
+    pub(crate) fn new(plan: &FaultPlan) -> Self {
         let mut plan = plan.clone();
         plan.normalize();
         FaultInjector {
             events: plan.events,
             cursor: 0,
             hostages: Vec::new(),
-            fired: 0,
         }
     }
 
-    /// Fires every event whose step is due at `step`, then re-keys the heap
-    /// for any core whose readiness the events changed.
-    pub(crate) fn apply_due(&mut self, m: &mut Machine, step: u64, heap: &mut ReadyHeap) {
-        if self.cursor >= self.events.len() || self.events[self.cursor].step > step {
-            return;
-        }
-        while self.cursor < self.events.len() && self.events[self.cursor].step <= step {
+    /// The step index of the next unfired event (`u64::MAX` if none).
+    pub(crate) fn next_due(&self) -> u64 {
+        self.events.get(self.cursor).map_or(u64::MAX, |e| e.step)
+    }
+
+    /// Fires every event whose step is due at `step`. Returns whether any
+    /// fired, in which case the caller must re-key every core.
+    pub(crate) fn apply_due(&mut self, m: &mut Machine, step: u64) -> bool {
+        let mut fired = false;
+        while self.next_due() <= step {
             let ev = self.events[self.cursor];
             self.cursor += 1;
             self.apply(m, ev.action);
-            self.fired += 1;
+            fired = true;
         }
-        // Events mutate ready times, finish/abort threads, and migrate
-        // programs across cores: re-key every core rather than tracking the
-        // blast radius of each action.
-        m.ready_dirty.clear();
-        for i in 0..m.cores.len() {
-            m.sync_heap_core(heap, i);
-        }
+        fired
     }
 
     fn apply(&mut self, m: &mut Machine, action: FaultAction) {
@@ -420,7 +413,7 @@ impl FaultInjector {
     }
 
     /// Releases everything the plan still holds: hostage frames, the TAV
-    /// cap, and the swap-device delay. Called when the run loop exits, so
+    /// cap, and the swap-device delay. Called when the driver exits, so
     /// plans whose release events land beyond the run's actual step count
     /// cannot leak pressure into a later run on the same machine.
     pub(crate) fn teardown(&mut self, m: &mut Machine) {
@@ -435,36 +428,10 @@ impl FaultInjector {
 }
 
 impl Machine {
-    /// [`Machine::run`] with a [`FaultPlan`] interleaved. With an empty
-    /// plan this is bit-identical to `run` (same step loop, same stats,
-    /// same checksums); with a non-empty plan, events fire before the step
-    /// whose index they carry.
+    /// [`Machine::run`] with a [`FaultPlan`] interleaved: events fire before
+    /// the step whose index they carry. With an empty plan this is `run`.
     pub fn run_with_faults(&mut self, plan: &FaultPlan) {
-        let mut injector = FaultInjector::new(plan);
-        let mut guard: u64 = 0;
-        let limit = self.progress_limit();
-        let trace_progress = std::env::var("PTM_TRACE_PROGRESS").is_ok();
-        let mut heap = self.build_ready_heap();
-        loop {
-            injector.apply_due(self, guard, &mut heap);
-            let Some((_, idx)) = heap.peek() else { break };
-            self.step(idx);
-            self.sync_heap(&mut heap, idx);
-            guard += 1;
-            if trace_progress && guard.is_multiple_of(20_000_000) {
-                let pcs: Vec<_> = self
-                    .cores
-                    .iter()
-                    .map(|c| (c.prog.thread().0, c.prog.pc(), c.ready_at))
-                    .collect();
-                eprintln!("[progress] steps={guard} {pcs:?}");
-            }
-            if guard >= limit {
-                self.progress_panic();
-            }
-        }
-        injector.teardown(self);
-        self.finalize_stats();
+        self.drive(plan, u64::MAX);
     }
 }
 

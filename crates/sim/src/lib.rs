@@ -48,9 +48,7 @@ pub mod stats;
 
 pub use backend::{Backend, SystemKind};
 pub use crash::{CrashImage, CrashPlan};
-pub use faults::{
-    assert_invariants, check_invariants, FaultAction, FaultEvent, FaultInjector, FaultPlan,
-};
+pub use faults::{assert_invariants, check_invariants, FaultAction, FaultEvent, FaultPlan};
 pub use kernel::{Kernel, KernelConfig, KernelStats, Translation};
 pub use machine::{Machine, MachineConfig};
 pub use ops::{Op, OrderedSeq};

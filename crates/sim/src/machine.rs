@@ -11,12 +11,12 @@
 //! discard data — which the serial reference executor verifies.
 
 use crate::backend::{Backend, SystemKind};
+use crate::faults::FaultPlan;
 use crate::kernel::{Kernel, KernelConfig, Translation};
 use crate::locks::LockAttempt;
 use crate::ops::{Op, OrderedSeq};
 use crate::ordered::OrderedGate;
 use crate::program::ThreadProgram;
-use crate::scheduler::ReadyHeap;
 use crate::stats::{CommittedTx, MachineStats};
 use ptm_cache::{
     abort_tx_lines, commit_tx_lines, flush_non_tx_lines, peek_remote_tx_use, supply, BusTimings,
@@ -173,8 +173,8 @@ pub struct Machine {
     /// `DelaySwapIns` fault, so plain runs are timing-identical.
     pub(crate) swap_in_delay: Cycle,
     /// Cores whose `ready_at` (or program) was changed by a step acting on
-    /// a *different* core (abort penalties, thread migration). The run
-    /// loops drain this to re-key the ready heap.
+    /// a *different* core (abort penalties, thread migration). The step
+    /// driver drains this to re-key the ready heap.
     pub(crate) ready_dirty: Vec<usize>,
 }
 
@@ -305,107 +305,7 @@ impl Machine {
     /// Panics if the machine stops making progress (a simulator bug, not a
     /// workload property — oldest-wins arbitration guarantees progress).
     pub fn run(&mut self) {
-        let mut guard: u64 = 0;
-        let limit = self.progress_limit();
-        // Read the tracing knob once: `std::env::var` is a syscall and this
-        // is the hottest loop in the simulator.
-        let trace_progress = std::env::var("PTM_TRACE_PROGRESS").is_ok();
-        let mut heap = self.build_ready_heap();
-        while let Some((_, idx)) = heap.peek() {
-            // Run-ahead dispatch: keep stepping this core while its key stays
-            // strictly below the heap's runner-up, no cross-core effect needs
-            // re-keying, and the program has more work. Every iteration steps
-            // exactly the core a peek would have yielded — heap traffic is
-            // skipped, not reordered — so the schedule is canonical-order
-            // identical to the one-step-per-peek loop.
-            loop {
-                self.step(idx);
-                guard += 1;
-                if trace_progress && guard.is_multiple_of(20_000_000) {
-                    let pcs: Vec<_> = self
-                        .cores
-                        .iter()
-                        .map(|c| (c.prog.thread().0, c.prog.pc(), c.ready_at))
-                        .collect();
-                    eprintln!("[progress] steps={guard} {pcs:?}");
-                }
-                if guard >= limit {
-                    self.progress_panic();
-                }
-                if !self.ready_dirty.is_empty() || self.cores[idx].prog.is_finished() {
-                    break;
-                }
-                match heap.runner_up() {
-                    // (ready_at, core) keys are unique, so strict less-than
-                    // is exactly "still the global minimum".
-                    Some(bound) if (self.cores[idx].ready_at, idx) > bound => break,
-                    _ => {}
-                }
-            }
-            self.sync_heap(&mut heap, idx);
-        }
-        self.finalize_stats();
-    }
-
-    /// The step budget after which a run is declared stuck.
-    pub(crate) fn progress_limit(&self) -> u64 {
-        200_000_000u64
-            .saturating_add(self.cores.iter().map(|c| c.prog.len() as u64).sum::<u64>() * 10_000)
-    }
-
-    /// Panics with the full per-core + live-transaction state dump.
-    pub(crate) fn progress_panic(&self) -> ! {
-        let state: Vec<String> = self
-            .cores
-            .iter()
-            .map(|c| {
-                format!(
-                    "pc={}/{} ready={} tx={:?} op={:?}",
-                    c.prog.pc(),
-                    c.prog.len(),
-                    c.ready_at,
-                    c.prog.cur_tx(),
-                    c.prog.current()
-                )
-            })
-            .collect();
-        let live = match &self.backend {
-            Backend::Ptm(p) => p.tstate().live_transactions(),
-            _ => Vec::new(),
-        };
-        let owners: Vec<_> = live
-            .iter()
-            .map(|t| (*t, self.tx_owner.get(t).copied()))
-            .collect();
-        panic!("machine stopped making progress: {state:#?} live={owners:?}");
-    }
-
-    /// A [`ReadyHeap`] seeded with every unfinished core.
-    pub(crate) fn build_ready_heap(&self) -> ReadyHeap {
-        let mut heap = ReadyHeap::new(self.cores.len());
-        for (i, c) in self.cores.iter().enumerate() {
-            if !c.prog.is_finished() {
-                heap.upsert(i, c.ready_at);
-            }
-        }
-        heap
-    }
-
-    /// Re-keys `idx` plus any cores a cross-core effect (abort penalty,
-    /// migration swap) touched during the last step.
-    pub(crate) fn sync_heap(&mut self, heap: &mut ReadyHeap, idx: usize) {
-        self.sync_heap_core(heap, idx);
-        while let Some(d) = self.ready_dirty.pop() {
-            self.sync_heap_core(heap, d);
-        }
-    }
-
-    pub(crate) fn sync_heap_core(&self, heap: &mut ReadyHeap, core: usize) {
-        if self.cores[core].prog.is_finished() {
-            heap.remove(core);
-        } else {
-            heap.upsert(core, self.cores[core].ready_at);
-        }
+        self.drive(&FaultPlan::empty(), u64::MAX);
     }
 
     pub(crate) fn finalize_stats(&mut self) {

@@ -1,15 +1,150 @@
 //! The canonical-order scheduler: an index-min heap over core `ready_at`
-//! times.
+//! times, and the one step driver every run goes through.
 //!
-//! [`Machine::run`](crate::machine::Machine::run) processes cores in global
-//! time order — smallest `ready_at` first, ties broken by lowest core index
-//! (the order a stable `min_by_key` scan produces). The heap replaces that
-//! O(cores) scan per step with an O(log cores) update.
+//! The machine processes cores in global time order — smallest `ready_at`
+//! first, ties broken by lowest core index (the order a stable
+//! `min_by_key` scan produces). The heap replaces that O(cores) scan per
+//! step with an O(log cores) update.
 //!
 //! Entries are keyed lexicographically by `(ready_at, core)`; every key is
 //! unique (one entry per core), so ordering is total and deterministic.
 
+use crate::backend::Backend;
+use crate::faults::{FaultInjector, FaultPlan};
+use crate::machine::Machine;
 use ptm_types::Cycle;
+
+/// With `PTM_TRACE_PROGRESS` set, the driver dumps every core's position to
+/// stderr each time this many steps have run.
+const TRACE_EVERY: u64 = 20_000_000;
+
+impl Machine {
+    /// The loop behind [`Machine::run`], [`Machine::run_with_faults`] and
+    /// [`Machine::run_until_crash`]: steps cores in canonical order until
+    /// every program finishes or `stop_at` steps have run, firing `plan`'s
+    /// events before the step whose index they carry (and those due after
+    /// the last step). Releases what the plan still holds, finalizes stats
+    /// and returns the steps taken. Panics if progress stops.
+    pub(crate) fn drive(&mut self, plan: &FaultPlan, stop_at: u64) -> u64 {
+        let mut faults = FaultInjector::new(plan);
+        let limit = self.progress_limit();
+        // Read the tracing knob once: `std::env::var` is a syscall.
+        let trace_progress = std::env::var("PTM_TRACE_PROGRESS").is_ok();
+        let mut heap = ReadyHeap::new(self.cores.len());
+        self.sync_all(&mut heap);
+        let mut guard: u64 = 0;
+        while guard < stop_at {
+            if faults.apply_due(self, guard) {
+                // Events mutate ready times, finish/abort threads, and
+                // migrate programs across cores: re-key every core rather
+                // than tracking the blast radius of each action.
+                self.sync_all(&mut heap);
+            }
+            let Some((_, idx)) = heap.peek() else { break };
+            // The one per-step compare: the progress guard, the next fault
+            // event, the crash stop and the trace mark all fold into it.
+            let mut next_break = limit.min(faults.next_due()).min(stop_at);
+            if trace_progress {
+                next_break = next_break.min((guard / TRACE_EVERY + 1) * TRACE_EVERY);
+            }
+            // Run-ahead dispatch: keep stepping this core while its key stays
+            // strictly below the heap's runner-up, no cross-core effect needs
+            // re-keying, and the program has more work. Every iteration steps
+            // exactly the core a peek would have yielded — heap traffic is
+            // skipped, not reordered — so the schedule is canonical-order
+            // identical to the one-step-per-peek loop.
+            loop {
+                self.step(idx);
+                guard += 1;
+                if guard >= next_break
+                    || !self.ready_dirty.is_empty()
+                    || self.cores[idx].prog.is_finished()
+                {
+                    break;
+                }
+                match heap.runner_up() {
+                    // (ready_at, core) keys are unique, so strict less-than
+                    // is exactly "still the global minimum".
+                    Some(bound) if (self.cores[idx].ready_at, idx) > bound => break,
+                    _ => {}
+                }
+            }
+            self.sync_heap(&mut heap, idx);
+            if trace_progress && guard.is_multiple_of(TRACE_EVERY) {
+                let pcs: Vec<_> = self
+                    .cores
+                    .iter()
+                    .map(|c| (c.prog.thread().0, c.prog.pc(), c.ready_at))
+                    .collect();
+                eprintln!("[progress] steps={guard} {pcs:?}");
+            }
+            if guard >= limit {
+                self.progress_panic();
+            }
+        }
+        faults.teardown(self);
+        self.finalize_stats();
+        guard
+    }
+
+    /// The step budget after which a run is declared stuck.
+    fn progress_limit(&self) -> u64 {
+        200_000_000u64
+            .saturating_add(self.cores.iter().map(|c| c.prog.len() as u64).sum::<u64>() * 10_000)
+    }
+
+    /// Panics with the full per-core + live-transaction state dump.
+    fn progress_panic(&self) -> ! {
+        let state: Vec<String> = self
+            .cores
+            .iter()
+            .map(|c| {
+                format!(
+                    "pc={}/{} ready={} tx={:?} op={:?}",
+                    c.prog.pc(),
+                    c.prog.len(),
+                    c.ready_at,
+                    c.prog.cur_tx(),
+                    c.prog.current()
+                )
+            })
+            .collect();
+        let live = match &self.backend {
+            Backend::Ptm(p) => p.tstate().live_transactions(),
+            _ => Vec::new(),
+        };
+        let owners: Vec<_> = live
+            .iter()
+            .map(|t| (*t, self.tx_owner.get(t).copied()))
+            .collect();
+        panic!("machine stopped making progress: {state:#?} live={owners:?}");
+    }
+
+    /// Re-keys every core: queued if unfinished, absent otherwise.
+    fn sync_all(&mut self, heap: &mut ReadyHeap) {
+        self.ready_dirty.clear();
+        for i in 0..self.cores.len() {
+            self.sync_heap_core(heap, i);
+        }
+    }
+
+    /// Re-keys `idx` plus any cores a cross-core effect (abort penalty,
+    /// migration swap) touched during the last step.
+    fn sync_heap(&mut self, heap: &mut ReadyHeap, idx: usize) {
+        self.sync_heap_core(heap, idx);
+        while let Some(d) = self.ready_dirty.pop() {
+            self.sync_heap_core(heap, d);
+        }
+    }
+
+    fn sync_heap_core(&self, heap: &mut ReadyHeap, core: usize) {
+        if self.cores[core].prog.is_finished() {
+            heap.remove(core);
+        } else {
+            heap.upsert(core, self.cores[core].ready_at);
+        }
+    }
+}
 
 /// An index-min binary heap of `(ready_at, core)` pairs with a position map
 /// for O(log n) re-keying of an arbitrary core.

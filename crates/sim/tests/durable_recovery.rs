@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use ptm_core::durability::{DurabilityConfig, ForcePolicy, MAX_LOG_RETRIES};
 use ptm_mem::{LogDevConfig, LogFaultPlan};
 use ptm_sim::crash::CrashPlan;
-use ptm_sim::{Machine, MachineConfig, Op, SystemKind, ThreadProgram};
+use ptm_sim::{FaultPlan, Machine, MachineConfig, Op, SystemKind, ThreadProgram};
 use ptm_types::{Granularity, ProcessId, ThreadId, VirtAddr};
 
 // ---------------------------------------------------------------------------
@@ -163,13 +163,13 @@ proptest! {
         let total = {
             let mut m = Machine::new(MachineConfig::default(), kind, programs.clone());
             m.enable_durability(cfg);
-            m.run_until_crash(&CrashPlan::at_step(u64::MAX)).step
+            m.run_until_crash(&CrashPlan::at_step(u64::MAX), &FaultPlan::empty()).step
         };
         let crash_step = ((total as f64) * crash_fraction) as u64;
 
         let mut m = Machine::new(MachineConfig::default(), kind, programs.clone());
         m.enable_durability(cfg);
-        let mut img = m.run_until_crash(&CrashPlan::at_step(crash_step));
+        let mut img = m.run_until_crash(&CrashPlan::at_step(crash_step), &FaultPlan::empty());
         prop_assert!(img.log.is_some(), "durable crash image must carry the log");
 
         let stats = img.recover();
@@ -213,13 +213,13 @@ proptest! {
         let total = {
             let mut m = Machine::new(MachineConfig::default(), SystemKind::LogTm, programs.clone());
             m.enable_durability(cfg);
-            m.run_until_crash(&CrashPlan::at_step(u64::MAX)).step
+            m.run_until_crash(&CrashPlan::at_step(u64::MAX), &FaultPlan::empty()).step
         };
         let crash_step = ((total as f64) * crash_fraction) as u64;
 
         let mut m = Machine::new(MachineConfig::default(), SystemKind::LogTm, programs.clone());
         m.enable_durability(cfg);
-        let mut img = m.run_until_crash(&CrashPlan::at_step(crash_step));
+        let mut img = m.run_until_crash(&CrashPlan::at_step(crash_step), &FaultPlan::empty());
         prop_assert!(img.log.is_some(), "durable crash image must carry the log");
 
         // The software undo logs must not have leaked into the durable
@@ -318,7 +318,8 @@ fn logtm_word_undo_replay_restores_midflight_stores() {
             programs.clone(),
         );
         m.enable_durability(cfg);
-        m.run_until_crash(&CrashPlan::at_step(u64::MAX)).step
+        m.run_until_crash(&CrashPlan::at_step(u64::MAX), &FaultPlan::empty())
+            .step
     };
     let mut exercised = false;
     for step in 0..total {
@@ -328,7 +329,7 @@ fn logtm_word_undo_replay_restores_midflight_stores() {
             programs.clone(),
         );
         m.enable_durability(cfg);
-        let mut img = m.run_until_crash(&CrashPlan::at_step(step));
+        let mut img = m.run_until_crash(&CrashPlan::at_step(step), &FaultPlan::empty());
         let live = img
             .backend
             .as_logtm()

@@ -1,53 +1,16 @@
 //! End-to-end crash-stop recovery: a machine halted at *any* scheduler step
-//! — torn TAV publish included — must recover to exactly the committed
-//! prefix the serializability oracle predicts, and recovery must be
-//! idempotent.
+//! — torn TAV publish included, in the middle of a fault storm included —
+//! must recover to exactly the committed prefix the serializability oracle
+//! predicts, and recovery must be idempotent.
 
+mod common;
+
+use common::{planned, small_config, tiny_machine, to_plan};
 use proptest::prelude::*;
-use unbounded_ptm::cache::CacheConfig;
 use unbounded_ptm::sim::crash::CrashPlan;
-use unbounded_ptm::sim::{Machine, SystemKind};
+use unbounded_ptm::sim::{FaultPlan, SystemKind};
 use unbounded_ptm::types::Granularity;
-use unbounded_ptm::workloads::synthetic::{workload, SyntheticConfig};
-
-fn small_config() -> impl Strategy<Value = SyntheticConfig> {
-    (
-        2usize..=4,   // threads
-        1usize..=6,   // txs per thread
-        1usize..=24,  // ops per tx
-        1usize..=4,   // private pages
-        1usize..=2,   // shared pages
-        0.0f64..=1.0, // shared fraction
-        0.1f64..=0.9, // write fraction
-        any::<u64>(), // seed
-    )
-        .prop_map(
-            |(threads, txs, ops, private, shared, sf, wf, seed)| SyntheticConfig {
-                threads,
-                txs_per_thread: txs,
-                ops_per_tx: ops,
-                private_pages: private,
-                shared_pages: shared,
-                shared_fraction: sf,
-                write_fraction: wf,
-                seed,
-            },
-        )
-}
-
-/// Tiny caches force transactional overflow, so crashes land on machines
-/// with real SPT/SIT/TAV state to recover.
-fn tiny_machine(
-    cfg: SyntheticConfig,
-    kind: SystemKind,
-) -> (Machine, Vec<unbounded_ptm::sim::ThreadProgram>) {
-    let w = workload(cfg);
-    let programs = w.programs_for(kind);
-    let mut mc = w.machine_config();
-    mc.l1 = CacheConfig::tiny(2, 1);
-    mc.l2 = CacheConfig::tiny(4, 2);
-    (Machine::new(mc, kind, programs.clone()), programs)
-}
+use unbounded_ptm::workloads::synthetic::SyntheticConfig;
 
 /// The six transactional kinds the crash sweep covers.
 fn crash_systems() -> Vec<SystemKind> {
@@ -61,30 +24,33 @@ fn crash_systems() -> Vec<SystemKind> {
     ]
 }
 
-/// Total scheduler steps of a full run of `cfg` under `kind`.
-fn total_steps(cfg: SyntheticConfig, kind: SystemKind) -> u64 {
+/// Total scheduler steps of a full run of `cfg` under `kind` and `faults`.
+fn total_steps(cfg: SyntheticConfig, kind: SystemKind, faults: &FaultPlan) -> u64 {
     let (mut m, _) = tiny_machine(cfg, kind);
-    m.run_until_crash(&CrashPlan::at_step(u64::MAX)).step
+    m.run_until_crash(&CrashPlan::at_step(u64::MAX), faults)
+        .step
 }
 
-/// Crash at `plan`, recover, check the oracle and idempotence. Returns the
-/// first recovery's stats for callers that assert on them.
+/// Crash at `plan` under `faults`, recover, check the oracle and
+/// idempotence. Returns the first recovery's stats for callers that assert
+/// on them.
 fn crash_recover_check(
     cfg: SyntheticConfig,
     kind: SystemKind,
     plan: CrashPlan,
+    faults: &FaultPlan,
 ) -> (
     unbounded_ptm::core::recovery::RecoveryStats,
     unbounded_ptm::sim::crash::CrashImage,
 ) {
     let (mut m, programs) = tiny_machine(cfg, kind);
-    let mut img = m.run_until_crash(&plan);
+    let mut img = m.run_until_crash(&plan, faults);
     let stats = img.recover();
     img.assert_matches_reference(&programs);
     let second = img.recover();
     assert!(
         second.is_noop(),
-        "{kind} step {} torn={}: second recovery was not a no-op: {second:?}",
+        "{kind} step {} torn={} under {faults:?}: second recovery was not a no-op: {second:?}",
         plan.step,
         plan.torn
     );
@@ -105,12 +71,17 @@ fn coarse_sweep_matches_oracle_across_kinds() {
         seed: 7,
     };
     for kind in crash_systems() {
-        let total = total_steps(cfg, kind);
+        let total = total_steps(cfg, kind, &FaultPlan::empty());
         let stride = (total / 9).max(1);
         let mut step = 0;
         while step <= total {
-            crash_recover_check(cfg, kind, CrashPlan::at_step(step));
-            crash_recover_check(cfg, kind, CrashPlan::torn_at_step(step));
+            crash_recover_check(cfg, kind, CrashPlan::at_step(step), &FaultPlan::empty());
+            crash_recover_check(
+                cfg,
+                kind,
+                CrashPlan::torn_at_step(step),
+                &FaultPlan::empty(),
+            );
             step += stride;
         }
     }
@@ -120,7 +91,8 @@ fn coarse_sweep_matches_oracle_across_kinds() {
 fn crash_at_step_zero_recovers_initial_state() {
     let cfg = SyntheticConfig::default();
     for kind in crash_systems() {
-        let (stats, img) = crash_recover_check(cfg, kind, CrashPlan::at_step(0));
+        let (stats, img) =
+            crash_recover_check(cfg, kind, CrashPlan::at_step(0), &FaultPlan::empty());
         assert!(img.commit_log.is_empty(), "{kind}: commits before step 0");
         assert!(
             stats.is_noop(),
@@ -133,7 +105,8 @@ fn crash_at_step_zero_recovers_initial_state() {
 fn crash_past_the_end_recovers_final_state() {
     let cfg = SyntheticConfig::default();
     for kind in crash_systems() {
-        let (stats, img) = crash_recover_check(cfg, kind, CrashPlan::at_step(u64::MAX));
+        let (stats, img) =
+            crash_recover_check(cfg, kind, CrashPlan::at_step(u64::MAX), &FaultPlan::empty());
         assert!(img.finished, "{kind}: run should have completed");
         // No transactions are live after a completed run. Select-PTM may
         // still fold committed-in-shadow blocks home (lazy migration leaves
@@ -170,12 +143,17 @@ fn torn_tav_tail_is_detected_and_repaired() {
         SystemKind::SelectPtm(Granularity::Block),
         SystemKind::SelectPtm(Granularity::WordCacheMem),
     ] {
-        let total = total_steps(cfg, kind);
+        let total = total_steps(cfg, kind, &FaultPlan::empty());
         let stride = (total / 200).max(1);
         let mut torn_seen = false;
         let mut step = 0;
         while step <= total && !torn_seen {
-            let (stats, img) = crash_recover_check(cfg, kind, CrashPlan::torn_at_step(step));
+            let (stats, img) = crash_recover_check(
+                cfg,
+                kind,
+                CrashPlan::torn_at_step(step),
+                &FaultPlan::empty(),
+            );
             if img.torn.is_some() {
                 torn_seen = true;
                 assert!(
@@ -200,11 +178,12 @@ fn torn_tav_tail_is_detected_and_repaired() {
 fn serial_and_locks_recover_as_noop() {
     let cfg = SyntheticConfig::default();
     for kind in [SystemKind::Serial, SystemKind::Locks] {
-        let total = total_steps(cfg, kind);
+        let total = total_steps(cfg, kind, &FaultPlan::empty());
         let stride = (total / 7).max(1);
         let mut step = 0;
         while step <= total {
-            let (stats, _) = crash_recover_check(cfg, kind, CrashPlan::at_step(step));
+            let (stats, _) =
+                crash_recover_check(cfg, kind, CrashPlan::at_step(step), &FaultPlan::empty());
             assert!(stats.is_noop(), "{kind}: recovery should be a no-op");
             step += stride;
         }
@@ -226,12 +205,13 @@ fn logtm_undo_replay_restores_committed_state() {
         seed: 23,
     };
     let kind = SystemKind::LogTm;
-    let total = total_steps(cfg, kind);
+    let total = total_steps(cfg, kind, &FaultPlan::empty());
     let stride = (total / 23).max(1);
     let mut rolled_back = false;
     let mut step = 0;
     while step <= total {
-        let (stats, _) = crash_recover_check(cfg, kind, CrashPlan::at_step(step));
+        let (stats, _) =
+            crash_recover_check(cfg, kind, CrashPlan::at_step(step), &FaultPlan::empty());
         rolled_back |= stats.blocks_restored > 0;
         step += stride;
     }
@@ -246,19 +226,22 @@ proptest! {
         cases: 12, ..ProptestConfig::default()
     })]
 
-    /// Any crash point, any kind, torn or clean: recovery lands exactly on
-    /// the committed-prefix oracle and a second pass is a no-op.
+    /// Any crash point, any kind, torn or clean, under any fault plan:
+    /// recovery lands exactly on the committed-prefix oracle and a second
+    /// pass is a no-op.
     #[test]
     fn recovery_is_correct_and_idempotent_everywhere(
         cfg in small_config(),
         kind_sel in 0usize..6,
         frac in 0.0f64..=1.0,
         torn in any::<bool>(),
+        planned in proptest::collection::vec(planned(), 0..6),
     ) {
         let kind = crash_systems()[kind_sel];
-        let total = total_steps(cfg, kind);
+        let faults = to_plan(&planned);
+        let total = total_steps(cfg, kind, &faults);
         let step = (total as f64 * frac) as u64;
         let plan = CrashPlan { step, torn };
-        crash_recover_check(cfg, kind, plan);
+        crash_recover_check(cfg, kind, plan, &faults);
     }
 }
