@@ -8,7 +8,9 @@
 //! [`ReferenceLedger`] — a plain `HashMap` fold of the committed
 //! transfers — which is the sweep's correctness spine.
 
-use ptm_service::{fold_deltas, run_block, BlockOutcome, ReceiptStatus, ServiceConfig, Strategy};
+use ptm_service::{
+    fold_deltas, BlockOutcome, ReceiptStatus, ServiceConfig, ShardMachines, Strategy,
+};
 use ptm_types::FastMap;
 use ptm_workloads::{service::generate, ClientTx, Scale, ServiceWorkloadConfig};
 use std::collections::HashMap;
@@ -138,6 +140,7 @@ fn run_strategy(
 ) -> (StrategyResult, f64, u64, u64, usize) {
     let t0 = Instant::now();
     let mut balances: FastMap<u64, u32> = FastMap::default();
+    let mut machines = ShardMachines::new();
     let mut reference = ReferenceLedger::default();
     // The reference check is verification, not service work: its time is
     // kept out of the pass's wall clock.
@@ -148,7 +151,7 @@ fn run_strategy(
     let mut worst_skew = 0.0f64;
     let mut blocks = 0usize;
     for block in stream.chunks(max_batch) {
-        let out = run_block(cfg, block, &balances);
+        let out = machines.run_block(cfg, block, &balances);
         let check = Instant::now();
         let what = format!(
             "{} pass, {} shard(s), block {blocks}",

@@ -11,16 +11,18 @@
 //!    balances equal the naive ledger fold, and recovery is idempotent).
 //! 2. **Degradation cells** — shard storms (abort storms, memory
 //!    squeezes, TAV caps) on every block; the service must complete every
-//!    transaction, degraded and counted, never deadlocked.
+//!    transaction, degraded and counted, never deadlocked, and every
+//!    block must match the [`ReferenceLedger`].
 //! 3. **Backpressure** — a bursty client floods the live service's
 //!    bounded queue; overload must shed with `Busy { retry_after }`
 //!    instead of growing the queue without bound.
 
+use crate::service::ReferenceLedger;
 use ptm_core::durability::ForcePolicy;
 use ptm_mem::logdev::{LogDevConfig, LogFaultPlan};
 use ptm_service::{
-    recover, run_stream_with_crash, CrashRun, JournalConfig, Service, ServiceConfig,
-    ServiceCrashImage, ServiceCrashPlan, ShardChaosConfig, SubmitError,
+    recover, run_stream_with_crash, BlockOutcome, CrashRun, Engine, JournalConfig, Service,
+    ServiceConfig, ServiceCrashImage, ServiceCrashPlan, ShardChaosConfig, SubmitError,
 };
 use ptm_workloads::{
     service::{generate, generate_bursts},
@@ -302,8 +304,8 @@ pub const CHAOS_SEEDS: [(u64, u64, u32); 3] =
     [(77, 800, 3), (1234, 400, 1), (987_654_321, 2_000_000, 3)];
 
 /// Runs the journaled pipeline under shard storms on every block: the
-/// service must serve every transaction (degraded, never wedged) with a
-/// conserved ledger.
+/// service must serve every transaction (degraded, never wedged), and
+/// every block's outcome must match the [`ReferenceLedger`].
 pub fn run_degradation(scale: Scale) -> Vec<DegradationCell> {
     let stream = generate(&chaos_stream_config(scale));
     let mut cells = Vec::new();
@@ -313,9 +315,24 @@ pub fn run_degradation(scale: Scale) -> Vec<DegradationCell> {
         chaos.cycle_budget = cycle_budget;
         chaos.max_retries = max_retries;
         let cfg = cell_config(scale, ForcePolicy::Group(4), 6).with_chaos(chaos);
-        let CrashRun::Completed(report) = run_stream_with_crash(cfg, &stream, None) else {
-            panic!("no crash plan, must complete");
+        let mut engine = Engine::new(cfg, None);
+        let mut reference = ReferenceLedger::default();
+        let mut batch: Vec<ClientTx> = Vec::new();
+        let mut check = |batch: &mut Vec<ClientTx>, out: Option<BlockOutcome>| {
+            if let Some(out) = out {
+                let what = format!("chaos seed {seed}, block {}", out.block_seq);
+                reference.check_and_fold(&what, batch, &out);
+                batch.clear();
+            }
         };
+        for tx in &stream {
+            batch.push(*tx);
+            let out = engine.accept(*tx).expect("no crash plan");
+            check(&mut batch, out);
+        }
+        let out = engine.flush().expect("no crash plan");
+        check(&mut batch, out);
+        let report = engine.finish().expect("no crash plan");
         assert_eq!(report.txs, stream.len() as u64, "degraded, not dropped");
         let sum = report
             .balances

@@ -52,6 +52,17 @@ impl CacheArray {
         }
     }
 
+    /// Empties every set but keeps its capacity, and zeroes the LRU clock
+    /// and the stats: the array is then indistinguishable from
+    /// `CacheArray::new(*self.config())`.
+    pub fn reset(&mut self) {
+        for set in &mut self.sets {
+            set.clear();
+        }
+        self.clock = 0;
+        self.stats = CacheStats::default();
+    }
+
     /// The array's configuration.
     pub fn config(&self) -> &CacheConfig {
         &self.cfg

@@ -131,6 +131,18 @@ impl Hierarchy {
         }
     }
 
+    /// Empties both levels in place, keeping their allocations: every set,
+    /// the LRU clocks, the stats and the tag registry, with the hit
+    /// latencies restored from the configurations. A reset hierarchy is
+    /// indistinguishable from `Hierarchy::new` on the same configurations.
+    pub fn reset(&mut self) {
+        self.l1.reset();
+        self.l2.reset();
+        self.tagged.clear();
+        self.l1_latency = self.l1.config().latency;
+        self.l2_latency = self.l2.config().latency;
+    }
+
     /// Probes both levels without changing state, classifying the access.
     pub fn probe(&self, block: PhysBlock) -> ProbeResult {
         if self.l1.contains(block) {
@@ -261,6 +273,11 @@ impl Hierarchy {
     /// Read-only view of the L1 array.
     pub fn l1(&self) -> &CacheArray {
         &self.l1
+    }
+
+    /// Read-only view of the L2 array.
+    pub fn l2(&self) -> &CacheArray {
+        &self.l2
     }
 
     /// Invalidates every non-transactional L2 line and empties the L1,

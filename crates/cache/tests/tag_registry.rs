@@ -8,6 +8,8 @@
 //! evicted constantly) and their models in lockstep; after every operation
 //! both levels of every cache must hold identical lines — block, MOESI
 //! state, LRU stamp and transactional metadata — and identical L2 stats.
+//! A hierarchy that was `reset` partway through a stream must then run the
+//! rest of it exactly as a new one does.
 
 use ptm_cache::{
     abort_tx_lines, commit_tx_lines, flush_non_tx_lines, supply, CacheArray, CacheConfig,
@@ -208,33 +210,46 @@ fn taggable(line: Option<&CacheLine>, tx: TxId) -> bool {
     line.is_none_or(|l| !l.is_transactional() || l.is_owned_by(tx))
 }
 
-/// Runs `steps` random operations. `span` > 100 stretches the time between
-/// commits and aborts (the extra rolls become fills and hits), so the
-/// registries grow until `fill` compacts them.
-fn drive(seed: u64, steps: usize, span: u64) {
-    let mut rng = SplitMix64::new(seed);
-    let mut caches: Vec<Hierarchy> = (0..CORES)
+fn new_caches() -> Vec<Hierarchy> {
+    (0..CORES)
         .map(|_| Hierarchy::new(l1_cfg(), l2_cfg()))
-        .collect();
-    let mut models: Vec<Model> = (0..CORES).map(|_| Model::new()).collect();
+        .collect()
+}
+
+fn new_models() -> Vec<Model> {
+    (0..CORES).map(|_| Model::new()).collect()
+}
+
+/// Runs `steps` random operations drawn from `rng` on `caches` and
+/// `models` in lockstep. `span` > 100 stretches the time between commits
+/// and aborts (the extra rolls become fills and hits), so the registries
+/// grow until `fill` compacts them. `seed` only labels failures.
+fn drive(
+    caches: &mut [Hierarchy],
+    models: &mut [Model],
+    rng: &mut SplitMix64,
+    seed: u64,
+    steps: usize,
+    span: u64,
+) {
     for step in 0..steps {
-        let c = pick(&mut rng, CORES as u64) as usize;
-        let b = blk(pick(&mut rng, BLOCKS));
-        let tx = TxId(1 + pick(&mut rng, TXS));
-        let word = WordIdx(pick(&mut rng, 16) as u8);
-        let write = pick(&mut rng, 2) == 0;
-        let roll = match pick(&mut rng, span) {
+        let c = pick(rng, CORES as u64) as usize;
+        let b = blk(pick(rng, BLOCKS));
+        let tx = TxId(1 + pick(rng, TXS));
+        let word = WordIdx(pick(rng, 16) as u8);
+        let write = pick(rng, 2) == 0;
+        let roll = match pick(rng, span) {
             r if r < 100 => r,
             r => 20 + r % 45,
         };
         let op = match roll {
             0..=19 => {
-                let line = CacheLine::new(b, any_state(&mut rng));
+                let line = CacheLine::new(b, any_state(rng));
                 assert_eq!(caches[c].fill(line), models[c].fill(line));
                 "untagged fill"
             }
             20..=44 => {
-                let mut line = CacheLine::new(b, any_state(&mut rng));
+                let mut line = CacheLine::new(b, any_state(rng));
                 line.tx_meta_for(tx).record_access(word, write);
                 assert_eq!(caches[c].fill(line), models[c].fill(line));
                 "tagged fill"
@@ -243,7 +258,7 @@ fn drive(seed: u64, steps: usize, span: u64) {
                 if !taggable(caches[c].line(b), tx) {
                     continue;
                 }
-                let tag = pick(&mut rng, 4) != 0;
+                let tag = pick(rng, 4) != 0;
                 let real = caches[c].touch_mut(b).map(|mut line| {
                     if write {
                         line.set_state(Moesi::Modified);
@@ -264,11 +279,11 @@ fn drive(seed: u64, steps: usize, span: u64) {
                 "hit"
             }
             65..=76 => {
-                let allow = pick(&mut rng, 4) != 0;
-                let preserve = pick(&mut rng, 2) == 0;
-                let req = (pick(&mut rng, 2) == 0).then_some(tx);
-                let real = supply(&mut caches, c, b, write, allow, preserve, req);
-                let model = model_supply(&mut models, c, b, write, allow, preserve, req);
+                let allow = pick(rng, 4) != 0;
+                let preserve = pick(rng, 2) == 0;
+                let req = (pick(rng, 2) == 0).then_some(tx);
+                let real = supply(caches, c, b, write, allow, preserve, req);
+                let model = model_supply(models, c, b, write, allow, preserve, req);
                 assert_eq!(real, model);
                 "supply"
             }
@@ -281,28 +296,68 @@ fn drive(seed: u64, steps: usize, span: u64) {
                 "flush"
             }
             87..=94 => {
-                for (h, m) in caches.iter_mut().zip(&mut models) {
+                for (h, m) in caches.iter_mut().zip(models.iter_mut()) {
                     assert_eq!(commit_tx_lines(h, tx), m.commit(tx));
                 }
                 "commit"
             }
             _ => {
-                for (h, m) in caches.iter_mut().zip(&mut models) {
+                for (h, m) in caches.iter_mut().zip(models.iter_mut()) {
                     assert_eq!(abort_tx_lines(h, tx), m.abort(tx));
                 }
                 "abort"
             }
         };
-        assert_same(&caches, &models, seed, step, op);
+        assert_same(caches, models, seed, step, op);
     }
+}
+
+/// Runs a whole stream on new hierarchies against new models.
+fn drive_new(seed: u64, steps: usize, span: u64) {
+    let mut rng = SplitMix64::new(seed);
+    drive(
+        &mut new_caches(),
+        &mut new_models(),
+        &mut rng,
+        seed,
+        steps,
+        span,
+    );
 }
 
 #[test]
 fn registry_commit_and_abort_match_full_sweep() {
     for seed in 1..=4 {
-        drive(seed, 5_000, 100);
+        drive_new(seed, 5_000, 100);
     }
     for seed in 5..=8 {
-        drive(seed, 5_000, 2_000);
+        drive_new(seed, 5_000, 2_000);
+    }
+}
+
+#[test]
+fn reset_hierarchy_runs_the_rest_of_a_stream_as_a_new_one() {
+    for (seed, span) in [(11, 100), (12, 100), (13, 2_000), (14, 2_000)] {
+        let mut rng = SplitMix64::new(seed);
+        let mut reused = new_caches();
+        // Partway through the stream: lines, LRU stamps, stats and (with
+        // the long span) a grown tag registry, plus skewed latencies.
+        drive(&mut reused, &mut new_models(), &mut rng, seed, 1_500, span);
+        for h in &mut reused {
+            h.l1_latency += 3;
+            h.l2_latency += 5;
+            h.reset();
+        }
+        let mut fresh = new_caches();
+        // `Debug` shows every field: sets, LRU clocks, stats, registry and
+        // latencies.
+        assert_eq!(format!("{reused:?}"), format!("{fresh:?}"), "seed {seed}");
+        // The rest of the stream, on both, each in lockstep with a model
+        // that starts empty: same lines, LRU victims, stats and
+        // commit/abort counts at every step.
+        let mut rest = rng;
+        drive(&mut reused, &mut new_models(), &mut rng, seed, 3_000, span);
+        drive(&mut fresh, &mut new_models(), &mut rest, seed, 3_000, span);
+        assert_eq!(format!("{reused:?}"), format!("{fresh:?}"), "seed {seed}");
     }
 }

@@ -1,10 +1,11 @@
 //! Block compilation and execution: a batch of client transactions
-//! becomes per-shard thread programs, runs on fresh simulator machines,
-//! and folds back into the service's balance table.
+//! becomes per-shard thread programs, runs on each shard's simulator
+//! machine (kept by [`ShardMachines`] and reset between blocks), and folds
+//! back into the service's balance table.
 
 use crate::config::{ServiceConfig, ShardChaosConfig, Strategy};
 use crate::shard::ShardMap;
-use ptm_sim::{run, run_with_faults, FaultPlan, Machine, Op, ThreadProgram};
+use ptm_sim::{FaultPlan, Machine, MachineConfig, Op, SystemKind, ThreadProgram};
 use ptm_types::{Cycle, FastMap, ProcessId, ThreadId, VirtAddr, BLOCK_SIZE, PAGE_SIZE, WORD_SIZE};
 use ptm_workloads::ClientTx;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -307,7 +308,7 @@ fn decode_machine(
 }
 
 /// Machine config sized to the shard's ledger footprint.
-fn shard_machine_cfg(cfg: &ServiceConfig, plan: &ShardPlan) -> ptm_sim::MachineConfig {
+fn shard_machine_cfg(cfg: &ServiceConfig, plan: &ShardPlan) -> MachineConfig {
     let mut mcfg = cfg.machine;
     // Ledger pages actually touched, plus generous room for backend
     // metadata (shadow blocks, TAV nodes). Sizing frames to the block's
@@ -329,14 +330,21 @@ fn shard_machine_cfg(cfg: &ServiceConfig, plan: &ShardPlan) -> ptm_sim::MachineC
 /// one thread, no faults, guaranteed to terminate. A stormed shard
 /// degrades (slower, counted in [`BlockStats`]); it never takes the block
 /// down with it and never deadlocks the pipeline.
-fn run_shard(cfg: &ServiceConfig, shard: usize, plan: &ShardPlan) -> ShardRun {
+fn run_shard(
+    machines: &mut ShardMachines,
+    cfg: &ServiceConfig,
+    shard: usize,
+    plan: &ShardPlan,
+) -> ShardRun {
     let mcfg = shard_machine_cfg(cfg, plan);
     let (programs, tx_of) = plan.programs(cfg.threads_per_shard);
 
     let Some(chaos) = cfg.chaos else {
-        let machine = run(mcfg, cfg.kind, programs);
+        let mut machine = machines.take(shard, mcfg, cfg.kind, programs);
+        machine.run();
         let (receipts, commits, aborts, cycles, deltas) =
             decode_machine(&machine, plan, &tx_of, shard);
+        machines.put(shard, machine);
         return ShardRun {
             receipts,
             commits,
@@ -360,16 +368,11 @@ fn run_shard(cfg: &ServiceConfig, shard: usize, plan: &ShardPlan) -> ShardRun {
         let budget = chaos.cycle_budget.saturating_mul(1 << attempt.min(16));
         let fplan =
             FaultPlan::shard_storm(storm_seed(&chaos, shard, attempt), horizon, chaos.events);
-        let programs = programs.clone();
-        let outcome = silence_panics(|| {
-            catch_unwind(AssertUnwindSafe(|| {
-                run_with_faults(mcfg, cfg.kind, programs, &fplan)
-            }))
-        });
-        match outcome {
-            Ok(machine) if machine.stats().cycles <= budget => {
+        match machines.attempt(shard, mcfg, cfg.kind, programs.clone(), &fplan) {
+            Some(machine) if machine.stats().cycles <= budget => {
                 let (receipts, commits, aborts, cycles, deltas) =
                     decode_machine(&machine, plan, &tx_of, shard);
+                machines.put(shard, machine);
                 return ShardRun {
                     receipts,
                     commits,
@@ -382,12 +385,13 @@ fn run_shard(cfg: &ServiceConfig, shard: usize, plan: &ShardPlan) -> ShardRun {
                     backoff_cycles,
                 };
             }
-            Ok(_) => {
+            Some(machine) => {
                 // Finished but over budget: a stalled shard. Back off and
                 // retry with the budget doubled.
+                machines.put(shard, machine);
                 stalls += 1;
             }
-            Err(_) => {
+            None => {
                 // The storm exhausted the shard (bounded-retry panic in the
                 // machine). The machine is gone; the transfers are not —
                 // they re-run on the next attempt.
@@ -400,9 +404,11 @@ fn run_shard(cfg: &ServiceConfig, shard: usize, plan: &ShardPlan) -> ShardRun {
     // Escalation: serial-irrevocable. One thread, no faults — no aborts
     // possible from contention, no squeeze to exhaust, always terminates.
     let (serial_programs, serial_tx_of) = plan.programs(1);
-    let machine = run(mcfg, cfg.kind, serial_programs);
+    let mut machine = machines.take(shard, mcfg, cfg.kind, serial_programs);
+    machine.run();
     let (receipts, commits, aborts, cycles, deltas) =
         decode_machine(&machine, plan, &serial_tx_of, shard);
+    machines.put(shard, machine);
     ShardRun {
         receipts,
         commits,
@@ -416,106 +422,190 @@ fn run_shard(cfg: &ServiceConfig, shard: usize, plan: &ShardPlan) -> ShardRun {
     }
 }
 
-/// Executes one block of client transactions against `balances` (the
-/// state as of the previous block boundary) and returns receipts, stats
-/// and the ledger deltas to fold forward.
-///
-/// This is the synchronous core the ingest loop, the tests and the bench
-/// all share; it is a pure function of `(cfg, block, balances)` except
-/// for the `wall_ns` stat.
+/// Executes one block on fresh shard machines: a one-block
+/// [`ShardMachines::run_block`].
 ///
 /// # Panics
 ///
-/// Panics if any transaction's `from` or `to` lies outside
-/// `0..cfg.accounts` — under every strategy, `ValidateOnly` included,
-/// because routing runs first. [`crate::Service::submit`] rejects such
-/// transactions with [`crate::SubmitError::Invalid`]; direct callers must
-/// check them themselves.
+/// As [`ShardMachines::run_block`].
 pub fn run_block(
     cfg: &ServiceConfig,
     block: &[ClientTx],
     balances: &FastMap<u64, u32>,
 ) -> BlockOutcome {
-    let start = Instant::now();
-    let map = ShardMap::new(cfg.shards, cfg.accounts);
-    let mut stats = BlockStats {
-        txs: block.len(),
-        shard_txs: vec![0; cfg.shards],
-        ..BlockStats::default()
-    };
-    let mut receipts = Vec::with_capacity(block.len());
+    ShardMachines::default().run_block(cfg, block, balances)
+}
 
-    // Read-only fast path: answered from the balance table, never
-    // compiled into a shard machine.
-    for tx in block {
-        if tx.read_only {
-            stats.read_only_hits += 1;
-            receipts.push(Receipt {
-                tx_id: tx.id,
-                shard: map.owner(tx),
-                status: ReceiptStatus::ReadOnly {
-                    balance: balances.get(&tx.from).copied().unwrap_or(0),
-                },
-            });
-        } else {
-            stats.transfers += 1;
-            stats.shard_txs[map.owner(tx)] += 1;
-            if map.is_cross_shard(tx) {
-                stats.cross_shard += 1;
+/// One simulator machine slot per shard, kept across blocks.
+///
+/// Building a shard machine allocates one vector per cache set
+/// (4 cores × (256 + 1,024) with the paper's caches), so the owner of a
+/// block sequence — [`crate::Engine`], [`crate::recover`] — keeps its
+/// machines here and [`Machine::reset`]s them for each block. A reset
+/// machine runs exactly as a new one, so outcomes do not depend on what
+/// a slot ran before. A machine whose run panicked is dropped, never
+/// reused.
+#[derive(Debug, Default)]
+pub struct ShardMachines(Vec<Option<Machine>>);
+
+impl ShardMachines {
+    /// Empty slots; machines are built on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Shard `shard`'s machine, reset to run `programs` under `mcfg`, or
+    /// a new one when the slot is empty or holds another system. The slot
+    /// stays empty until [`ShardMachines::put`] returns the machine.
+    fn take(
+        &mut self,
+        shard: usize,
+        mcfg: MachineConfig,
+        kind: SystemKind,
+        programs: Vec<ThreadProgram>,
+    ) -> Machine {
+        match self.0.get_mut(shard).and_then(Option::take) {
+            Some(mut m) if m.kind() == kind => {
+                m.reset(mcfg, programs);
+                m
             }
+            _ => Machine::new(mcfg, kind, programs),
         }
     }
 
-    let mut deltas: Vec<(u64, u32)> = Vec::new();
-    match cfg.strategy {
-        Strategy::ValidateOnly => {
-            for tx in block.iter().filter(|t| !t.read_only) {
-                let ok = tx.from < cfg.accounts
-                    && tx.to < cfg.accounts
-                    && tx.from != tx.to
-                    && tx.amount > 0;
+    /// Runs `programs` under `plan` on shard `shard`'s machine inside the
+    /// chaos isolation boundary. Returns the finished machine, or `None`
+    /// if the attempt panicked: the machine was dropped in the unwind and
+    /// the slot stays empty, so it is never reused.
+    fn attempt(
+        &mut self,
+        shard: usize,
+        mcfg: MachineConfig,
+        kind: SystemKind,
+        programs: Vec<ThreadProgram>,
+        plan: &FaultPlan,
+    ) -> Option<Machine> {
+        silence_panics(|| {
+            catch_unwind(AssertUnwindSafe(|| {
+                let mut machine = self.take(shard, mcfg, kind, programs);
+                machine.run_with_faults(plan);
+                machine
+            }))
+        })
+        .ok()
+    }
+
+    /// Returns a machine that ran to completion to shard `shard`'s slot.
+    fn put(&mut self, shard: usize, machine: Machine) {
+        if self.0.len() <= shard {
+            self.0.resize_with(shard + 1, || None);
+        }
+        self.0[shard] = Some(machine);
+    }
+
+    /// Executes one block of client transactions against `balances` (the
+    /// state as of the previous block boundary) and returns receipts,
+    /// stats and the ledger deltas to fold forward.
+    ///
+    /// This is the synchronous core the ingest loop, recovery, the tests
+    /// and the bench all share; it is a pure function of `(cfg, block,
+    /// balances)` except for the `wall_ns` stat — the slots' history never
+    /// shows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any transaction's `from` or `to` lies outside
+    /// `0..cfg.accounts` — under every strategy, `ValidateOnly` included,
+    /// because routing runs first. [`crate::Service::submit`] rejects
+    /// such transactions with [`crate::SubmitError::Invalid`]; direct
+    /// callers must check them themselves.
+    pub fn run_block(
+        &mut self,
+        cfg: &ServiceConfig,
+        block: &[ClientTx],
+        balances: &FastMap<u64, u32>,
+    ) -> BlockOutcome {
+        let start = Instant::now();
+        let map = ShardMap::new(cfg.shards, cfg.accounts);
+        let mut stats = BlockStats {
+            txs: block.len(),
+            shard_txs: vec![0; cfg.shards],
+            ..BlockStats::default()
+        };
+        let mut receipts = Vec::with_capacity(block.len());
+
+        // Read-only fast path: answered from the balance table, never
+        // compiled into a shard machine.
+        for tx in block {
+            if tx.read_only {
+                stats.read_only_hits += 1;
                 receipts.push(Receipt {
                     tx_id: tx.id,
                     shard: map.owner(tx),
-                    status: ReceiptStatus::Validated { ok },
+                    status: ReceiptStatus::ReadOnly {
+                        balance: balances.get(&tx.from).copied().unwrap_or(0),
+                    },
                 });
-            }
-        }
-        Strategy::Sequential => {
-            let plans = compile(cfg, &map, block);
-            let mut fold: FastMap<u64, u32> = FastMap::default();
-            for (shard, plan) in plans.iter().enumerate() {
-                if plan.transfers.is_empty() {
-                    continue;
-                }
-                let run = run_shard(cfg, shard, plan);
-                receipts.extend(run.receipts);
-                stats.commits += run.commits;
-                stats.aborts += run.aborts;
-                stats.max_shard_cycles = stats.max_shard_cycles.max(run.cycles);
-                stats.shard_retries += run.retries;
-                stats.shard_stalls += run.stalls;
-                stats.shard_escalations += run.escalated as u64;
-                stats.shard_backoff_cycles += run.backoff_cycles;
-                for (acct, d) in run.deltas {
-                    let e = fold.entry(acct).or_insert(0);
-                    *e = e.wrapping_add(d);
+            } else {
+                stats.transfers += 1;
+                stats.shard_txs[map.owner(tx)] += 1;
+                if map.is_cross_shard(tx) {
+                    stats.cross_shard += 1;
                 }
             }
-            deltas = fold.into_iter().collect();
-            deltas.sort_unstable();
         }
-    }
 
-    stats.shard_skew = shard_skew(&stats.shard_txs, stats.transfers, cfg.shards);
+        let mut deltas: Vec<(u64, u32)> = Vec::new();
+        match cfg.strategy {
+            Strategy::ValidateOnly => {
+                for tx in block.iter().filter(|t| !t.read_only) {
+                    let ok = tx.from < cfg.accounts
+                        && tx.to < cfg.accounts
+                        && tx.from != tx.to
+                        && tx.amount > 0;
+                    receipts.push(Receipt {
+                        tx_id: tx.id,
+                        shard: map.owner(tx),
+                        status: ReceiptStatus::Validated { ok },
+                    });
+                }
+            }
+            Strategy::Sequential => {
+                let plans = compile(cfg, &map, block);
+                let mut fold: FastMap<u64, u32> = FastMap::default();
+                for (shard, plan) in plans.iter().enumerate() {
+                    if plan.transfers.is_empty() {
+                        continue;
+                    }
+                    let run = run_shard(self, cfg, shard, plan);
+                    receipts.extend(run.receipts);
+                    stats.commits += run.commits;
+                    stats.aborts += run.aborts;
+                    stats.max_shard_cycles = stats.max_shard_cycles.max(run.cycles);
+                    stats.shard_retries += run.retries;
+                    stats.shard_stalls += run.stalls;
+                    stats.shard_escalations += run.escalated as u64;
+                    stats.shard_backoff_cycles += run.backoff_cycles;
+                    for (acct, d) in run.deltas {
+                        let e = fold.entry(acct).or_insert(0);
+                        *e = e.wrapping_add(d);
+                    }
+                }
+                deltas = fold.into_iter().collect();
+                deltas.sort_unstable();
+            }
+        }
 
-    receipts.sort_unstable_by_key(|r| r.tx_id);
-    stats.wall_ns = start.elapsed().as_nanos() as u64;
-    BlockOutcome {
-        block_seq: 0,
-        receipts,
-        stats,
-        deltas,
+        stats.shard_skew = shard_skew(&stats.shard_txs, stats.transfers, cfg.shards);
+
+        receipts.sort_unstable_by_key(|r| r.tx_id);
+        stats.wall_ns = start.elapsed().as_nanos() as u64;
+        BlockOutcome {
+            block_seq: 0,
+            receipts,
+            stats,
+            deltas,
+        }
     }
 }
 
@@ -546,8 +636,7 @@ pub fn fold_deltas(balances: &mut FastMap<u64, u32>, deltas: &[(u64, u32)]) {
 mod tests {
     use super::*;
     use crate::config::ShardChaosConfig;
-    use ptm_sim::FaultAction;
-    use ptm_sim::FaultEvent;
+    use ptm_sim::{FaultAction, FaultEvent};
 
     fn transfer(id: u64, from: u64, to: u64) -> ClientTx {
         ClientTx {
@@ -662,7 +751,7 @@ mod tests {
         };
         let died = silence_panics(|| {
             catch_unwind(AssertUnwindSafe(|| {
-                run_with_faults(mcfg, cfg.kind, programs, &hostile)
+                Machine::new(mcfg, cfg.kind, programs).run_with_faults(&hostile)
             }))
         });
         if died.is_err() {
@@ -675,5 +764,95 @@ mod tests {
             let out = run_block(&chaotic, &block, &FastMap::default());
             assert_eq!(out.receipts.len(), block.len());
         }
+    }
+
+    /// Everything a shard machine's history could leak into: receipts,
+    /// deltas, counters, slowest-shard cycles and the retry counters.
+    fn observable(out: &BlockOutcome) -> (Vec<Receipt>, Vec<(u64, u32)>, [u64; 7]) {
+        let s = &out.stats;
+        (
+            out.receipts.clone(),
+            out.deltas.clone(),
+            [
+                s.commits,
+                s.aborts,
+                s.max_shard_cycles,
+                s.shard_retries,
+                s.shard_stalls,
+                s.shard_escalations,
+                s.shard_backoff_cycles,
+            ],
+        )
+    }
+
+    #[test]
+    fn reused_shard_machines_run_every_block_as_fresh_ones() {
+        let accounts = 1_000_000;
+        let quiet = ServiceConfig::new(accounts, 4);
+        let hot = |salt: u64| -> Vec<ClientTx> {
+            (0..200)
+                .map(|i| {
+                    let from = (i * 13 + salt) % 97 * 10_007;
+                    transfer(i, from, (i * 29 + 3) % 89 * 11_003)
+                })
+                .collect()
+        };
+        // ~600 distinct accounts per shard: more frames than `hot`'s.
+        let wide: Vec<ClientTx> = (0..2_400)
+            .map(|i| transfer(i, (i * 7_919) % accounts, (i * 104_729 + 1) % accounts))
+            .collect();
+        let storm = quiet.with_chaos(ShardChaosConfig {
+            events: 40,
+            salt: 1,
+            ..ShardChaosConfig::new(99)
+        });
+        let escalate = quiet.with_chaos(ShardChaosConfig {
+            cycle_budget: 1,
+            max_retries: 1,
+            ..ShardChaosConfig::new(5)
+        });
+        let frames = |cfg: &ServiceConfig, block: &[ClientTx]| {
+            let plans = compile(cfg, &ShardMap::new(cfg.shards, cfg.accounts), block);
+            shard_machine_cfg(cfg, &plans[0]).mem_frames
+        };
+        assert_ne!(frames(&quiet, &hot(0)), frames(&quiet, &wide));
+
+        let mut machines = ShardMachines::new();
+        let mut balances = FastMap::default();
+        let mut check = |machines: &mut ShardMachines, cfg: &ServiceConfig, block: &[ClientTx]| {
+            let reused = machines.run_block(cfg, block, &balances);
+            let fresh = run_block(cfg, block, &balances);
+            assert_eq!(observable(&reused), observable(&fresh));
+            fold_deltas(&mut balances, &reused.deltas);
+            reused
+        };
+        check(&mut machines, &quiet, &hot(0));
+        check(&mut machines, &storm, &hot(1));
+        // Each shard runs two 4-core attempts, then a 1-core escalation;
+        // the next block's 4-core machines are rebuilt from it.
+        let out = check(&mut machines, &escalate, &hot(2));
+        assert_eq!(out.stats.shard_escalations, 4);
+        check(&mut machines, &quiet, &hot(3));
+        check(&mut machines, &quiet, &wide);
+
+        // A chaos attempt that dies mid-run: a stray `End` after thread
+        // 0's first transfer. Its machine must not come back to the slot.
+        let block = hot(4);
+        let plans = compile(&quiet, &ShardMap::new(4, accounts), &block);
+        let (mut programs, _) = plans[0].programs(quiet.threads_per_shard);
+        let mut ops: Vec<Op> = (0..4).filter_map(|pc| programs[0].op_at(pc)).collect();
+        ops.push(Op::End);
+        programs[0] = ThreadProgram::new(ProcessId(0), ThreadId(0), ops);
+        let mcfg = shard_machine_cfg(&quiet, &plans[0]);
+        assert!(machines.0[0].is_some());
+        let died = machines.attempt(0, mcfg, quiet.kind, programs, &FaultPlan::empty());
+        assert!(died.is_none(), "the stray End must panic the attempt");
+        assert!(
+            machines.0[0].is_none(),
+            "a panicked machine is never reused"
+        );
+
+        check(&mut machines, &quiet, &block);
+        check(&mut machines, &storm, &hot(5));
     }
 }

@@ -87,7 +87,9 @@ pub mod journal;
 pub mod pipeline;
 pub mod shard;
 
-pub use block::{fold_deltas, run_block, BlockOutcome, BlockStats, Receipt, ReceiptStatus};
+pub use block::{
+    fold_deltas, run_block, BlockOutcome, BlockStats, Receipt, ReceiptStatus, ShardMachines,
+};
 pub use config::{JournalConfig, ServiceConfig, ShardChaosConfig, Strategy};
 pub use ingest::{Service, ServiceError, ServiceReport, SubmitError, Submitter};
 pub use journal::{replay, Journal, JournalReplay, JournalStats, RecoveredBlock};

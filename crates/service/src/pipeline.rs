@@ -10,7 +10,7 @@
 //! cut.
 //!
 //! [`recover`] is the other half: scan the journal image ([`replay`]),
-//! re-execute every sealed block in seal order ([`run_block`] is a pure
+//! re-execute every sealed block in seal order (block execution is a pure
 //! function, so re-execution regenerates bit-identical receipts), fold
 //! each block's deltas **exactly once** — journaled deltas for committed
 //! blocks (the durable truth, cross-checked against the re-execution),
@@ -20,7 +20,7 @@
 //! *recovered* image is a no-op modulo counters: recovery is idempotent,
 //! and the crash sweep asserts it point by point.
 
-use crate::block::{fold_deltas, run_block, BlockOutcome};
+use crate::block::{fold_deltas, BlockOutcome, ShardMachines};
 use crate::config::ServiceConfig;
 use crate::ingest::ServiceReport;
 use crate::journal::{replay, Journal, JournalStats};
@@ -78,6 +78,8 @@ pub struct Engine {
     cfg: ServiceConfig,
     journal: Option<Journal>,
     balances: FastMap<u64, u32>,
+    /// The shard machines every block runs on, reset between blocks.
+    machines: ShardMachines,
     batch: Vec<ClientTx>,
     next_block_seq: u64,
     report: ServiceReport,
@@ -100,6 +102,7 @@ impl Engine {
             journal: cfg.journal.map(Journal::new),
             cfg,
             balances: FastMap::default(),
+            machines: ShardMachines::new(),
             batch: Vec::new(),
             next_block_seq: 0,
             report: ServiceReport::default(),
@@ -168,7 +171,7 @@ impl Engine {
         if let Some(chaos) = &mut bcfg.chaos {
             chaos.salt = seq;
         }
-        let mut outcome = run_block(&bcfg, &self.batch, &self.balances);
+        let mut outcome = self.machines.run_block(&bcfg, &self.batch, &self.balances);
         outcome.block_seq = seq;
         // Commit: the block's redo deltas are journaled; a force here (per
         // policy) is the block's durability point.
@@ -373,12 +376,13 @@ pub fn recover(cfg: &ServiceConfig, image: &LogImage) -> ServiceRecovery {
     let mut balances: FastMap<u64, u32> = FastMap::default();
     let mut outcomes = Vec::with_capacity(rep.blocks.len() + 1);
 
-    let execute = |seq: u64, txs: &[ClientTx], balances: &FastMap<u64, u32>| {
+    let mut machines = ShardMachines::new();
+    let mut execute = |seq: u64, txs: &[ClientTx], balances: &FastMap<u64, u32>| {
         let mut bcfg = *cfg;
         if let Some(chaos) = &mut bcfg.chaos {
             chaos.salt = seq;
         }
-        let mut outcome = run_block(&bcfg, txs, balances);
+        let mut outcome = machines.run_block(&bcfg, txs, balances);
         outcome.block_seq = seq;
         outcome
     };

@@ -1,16 +1,17 @@
 //! A golden digest of the service's simulated execution schedule.
 //!
-//! The `Sequential ≡ Parallel` receipt check cannot catch a change to
-//! simulated timing: both strategies run the same cache and machine code,
-//! so a shift in commit cycles moves both sides alike. This test pins one
+//! A reference-ledger check cannot catch a change to simulated timing:
+//! the ledger is the same whatever the commit cycles. This test pins one
 //! fixed stream instead — 2,000 transactions on hot keys (Zipf s=1.2) at 4
 //! shards, executed block by block with balances folded between blocks —
 //! and checks a single FNV-1a digest over every receipt (commit order and
 //! commit cycle included), every block's deltas, commit and abort counts
 //! and slowest-shard cycles. A changed digest means the simulated
-//! behaviour changed.
+//! behaviour changed. The blocks run through one [`ShardMachines`], so
+//! every block after the first runs on machines reset from the previous
+//! one: the digest also pins that a reset machine runs as a new one.
 
-use ptm_service::{fold_deltas, run_block, ReceiptStatus, ServiceConfig};
+use ptm_service::{fold_deltas, ReceiptStatus, ServiceConfig, ShardMachines};
 use ptm_types::rng::Fnv1a64;
 use ptm_types::FastMap;
 use ptm_workloads::{service::generate, ServiceWorkloadConfig};
@@ -30,10 +31,11 @@ fn schedule_digest() -> (u64, u64) {
         read_only_pct: 5,
     });
     let mut balances = FastMap::default();
+    let mut machines = ShardMachines::new();
     let mut h = Fnv1a64::new();
     let mut aborts = 0;
     for block in stream.chunks(cfg.max_batch) {
-        let out = run_block(&cfg, block, &balances);
+        let out = machines.run_block(&cfg, block, &balances);
         for r in &out.receipts {
             h.write_u64(r.tx_id);
             h.write_u64(r.shard as u64);

@@ -54,6 +54,6 @@ pub use machine::{Machine, MachineConfig};
 pub use ops::{Op, OrderedSeq};
 pub use program::ThreadProgram;
 pub use reference::{assert_serializable, crash_reference, diff_against_machine, serial_reference};
-pub use runner::{run, run_with_faults, serialize_programs, speedup_percent, speedup_vs_serial};
+pub use runner::{run, serialize_programs, speedup_percent, speedup_vs_serial};
 pub use scheduler::ReadyHeap;
 pub use stats::{CommittedTx, MachineStats};

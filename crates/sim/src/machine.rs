@@ -56,6 +56,14 @@ pub(crate) fn trace_stall() -> bool {
     *STALL.get_or_init(|| std::env::var("PTM_TRACE_STALL").is_ok())
 }
 
+/// Debug tracing: set `PTM_TRACE_PROGRESS` to dump every core's position to
+/// stderr at fixed step intervals. Read once per process — the service
+/// drives one run per shard per block.
+pub(crate) fn trace_progress() -> bool {
+    static PROGRESS: OnceLock<bool> = OnceLock::new();
+    *PROGRESS.get_or_init(|| std::env::var("PTM_TRACE_PROGRESS").is_ok())
+}
+
 /// Machine configuration (defaults follow §6.1).
 #[derive(Debug, Clone, Copy)]
 pub struct MachineConfig {
@@ -178,6 +186,21 @@ pub struct Machine {
     pub(crate) ready_dirty: Vec<usize>,
 }
 
+/// `n` empty hierarchies for `cfg`: the leading `spare` ones that match its
+/// L1/L2 configurations are reset in place, the rest are built new.
+fn caches_for(cfg: &MachineConfig, n: usize, spare: Vec<Hierarchy>) -> Vec<Hierarchy> {
+    let mut spare = spare.into_iter();
+    (0..n)
+        .map(|_| match spare.next() {
+            Some(mut h) if *h.l1().config() == cfg.l1 && *h.l2().config() == cfg.l2 => {
+                h.reset();
+                h
+            }
+            _ => Hierarchy::new(cfg.l1, cfg.l2),
+        })
+        .collect()
+}
+
 /// Arrival/release bookkeeping for one in-flight barrier. Arrivals are
 /// keyed by *thread* (stable across core migration), not by core.
 #[derive(Debug)]
@@ -195,6 +218,31 @@ impl Machine {
     ///
     /// Panics if `programs` is empty.
     pub fn new(cfg: MachineConfig, kind: SystemKind, programs: Vec<ThreadProgram>) -> Self {
+        Machine::build(cfg, kind, programs, Vec::new())
+    }
+
+    /// Turns this machine into `Machine::new(cfg, self.kind(), programs)`
+    /// while keeping its cache allocations. Every other field is rebuilt;
+    /// each core's hierarchy is reset in place when its L1/L2
+    /// configurations equal `cfg`'s and replaced otherwise. A reset
+    /// machine runs exactly as a new one would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `programs` is empty.
+    pub fn reset(&mut self, cfg: MachineConfig, programs: Vec<ThreadProgram>) {
+        let spare = std::mem::take(&mut self.caches);
+        *self = Machine::build(cfg, self.kind, programs, spare);
+    }
+
+    /// The constructor behind [`Machine::new`] and [`Machine::reset`]:
+    /// core `i` takes `spare[i]` when it fits `cfg`, else a new hierarchy.
+    fn build(
+        cfg: MachineConfig,
+        kind: SystemKind,
+        programs: Vec<ThreadProgram>,
+        spare: Vec<Hierarchy>,
+    ) -> Self {
         assert!(!programs.is_empty(), "machine needs at least one thread");
         assert!(
             !(kind == SystemKind::LogTm && cfg.kernel.migrate_on_cs),
@@ -222,7 +270,7 @@ impl Machine {
                     tlb: vec![None; cfg.core_tlb_entries],
                 })
                 .collect(),
-            caches: (0..n).map(|_| Hierarchy::new(cfg.l1, cfg.l2)).collect(),
+            caches: caches_for(&cfg, n, spare),
             bus: SystemBus::new(cfg.bus),
             mem: PhysicalMemory::new(cfg.mem_frames),
             kernel: Kernel::new(cfg.kernel),

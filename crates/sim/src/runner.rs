@@ -14,21 +14,6 @@ pub fn run(cfg: MachineConfig, kind: SystemKind, programs: Vec<ThreadProgram>) -
     m
 }
 
-/// Runs `programs` to completion under `kind` with a [`FaultPlan`]
-/// interleaved (an empty plan is bit-identical to [`run`]) and returns the
-/// machine for inspection. The service frontend's shard fault isolation
-/// drives each shard machine through this entry point.
-pub fn run_with_faults(
-    cfg: MachineConfig,
-    kind: SystemKind,
-    programs: Vec<ThreadProgram>,
-    plan: &crate::faults::FaultPlan,
-) -> Machine {
-    let mut m = Machine::new(cfg, kind, programs);
-    m.run_with_faults(plan);
-    m
-}
-
 /// Builds the single-threaded baseline program: all threads' operations
 /// concatenated into one stream, executed in [`SystemKind::Serial`] mode
 /// where `Begin`/`End` cost one cycle each (no checkpointing, locking or

@@ -11,7 +11,7 @@
 
 use crate::backend::Backend;
 use crate::faults::{FaultInjector, FaultPlan};
-use crate::machine::Machine;
+use crate::machine::{trace_progress, Machine};
 use ptm_types::Cycle;
 
 /// With `PTM_TRACE_PROGRESS` set, the driver dumps every core's position to
@@ -28,8 +28,7 @@ impl Machine {
     pub(crate) fn drive(&mut self, plan: &FaultPlan, stop_at: u64) -> u64 {
         let mut faults = FaultInjector::new(plan);
         let limit = self.progress_limit();
-        // Read the tracing knob once: `std::env::var` is a syscall.
-        let trace_progress = std::env::var("PTM_TRACE_PROGRESS").is_ok();
+        let trace_progress = trace_progress();
         let mut heap = ReadyHeap::new(self.cores.len());
         self.sync_all(&mut heap);
         let mut guard: u64 = 0;

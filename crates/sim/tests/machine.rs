@@ -3,8 +3,8 @@
 
 use ptm_cache::CacheConfig;
 use ptm_sim::{
-    assert_serializable, run, serialize_programs, Machine, MachineConfig, Op, OrderedSeq,
-    SystemKind, ThreadProgram,
+    assert_serializable, run, serialize_programs, CommittedTx, FaultPlan, Machine, MachineConfig,
+    Op, OrderedSeq, SystemKind, ThreadProgram,
 };
 use ptm_types::{Granularity, ProcessId, ThreadId, VirtAddr};
 
@@ -657,4 +657,75 @@ fn barriers_are_migration_safe() {
         );
     }
     assert_serializable(&m, &programs);
+}
+
+/// What a run leaves behind: stats `Display`, per-core checksums and the
+/// commit log.
+fn run_record(m: &Machine) -> (String, Vec<u64>, Vec<CommittedTx>) {
+    (
+        m.stats().to_string(),
+        m.checksums(),
+        m.stats().commit_log.clone(),
+    )
+}
+
+/// Two threads whose transactions each write 24 blocks across pages.
+fn spilling_programs() -> Vec<ThreadProgram> {
+    (0..2)
+        .map(|t| {
+            let base = 0x40_0000u64 + t as u64 * 0x10_0000;
+            let mut ops = Vec::new();
+            for it in 0..3u64 {
+                ops.push(begin(lock0() + t as u64 * 64));
+                for blk in 0..24u64 {
+                    ops.push(Op::Rmw(VirtAddr::new(base + it * 8192 + blk * 64), 1));
+                }
+                ops.push(Op::End);
+            }
+            ThreadProgram::new(ProcessId(0), ThreadId(t), ops)
+        })
+        .collect()
+}
+
+#[test]
+fn reset_machine_runs_as_a_new_one() {
+    // One machine is reset through runs that differ in memory size, cache
+    // geometry (hierarchies replaced), core count and fault plan (a storm
+    // leaves swapped pages, live-transaction state and TAV caps behind).
+    // After each reset it must run exactly as a new machine.
+    let storm = FaultPlan::from_seed(0x5eed, 300, 12);
+    let plain = FaultPlan::empty();
+    let default = MachineConfig::default();
+    let small = MachineConfig {
+        mem_frames: 2_048,
+        ..default
+    };
+    let tiny = tiny_cache_config();
+    let steps: [(MachineConfig, Vec<ThreadProgram>, &FaultPlan); 5] = [
+        (small, spilling_programs(), &plain),
+        (tiny, counter_programs(4, 10), &storm),
+        (tiny, spilling_programs(), &plain),
+        (default, counter_programs(3, 6), &storm),
+        (small, counter_programs(4, 10), &plain),
+    ];
+    for kind in [
+        SystemKind::SelectPtm(Granularity::Block),
+        SystemKind::CopyPtm,
+        SystemKind::Vtm,
+    ] {
+        let mut m = Machine::new(default, kind, counter_programs(4, 10));
+        m.run();
+        for (i, (cfg, programs, plan)) in steps.iter().enumerate() {
+            m.reset(*cfg, programs.clone());
+            let mut fresh = Machine::new(*cfg, kind, programs.clone());
+            if plan.events.is_empty() {
+                m.run();
+                fresh.run();
+            } else {
+                m.run_with_faults(plan);
+                fresh.run_with_faults(plan);
+            }
+            assert_eq!(run_record(&m), run_record(&fresh), "{kind}, step {i}");
+        }
+    }
 }
