@@ -18,12 +18,10 @@ use ptm_bench::durable::{
     durable_cells, fault_seeds_from_env, force_policies_from_env, sweep_durable_cell,
     DurableCellReport,
 };
-use ptm_bench::history::{prior_entries, render_history_or_die, HistoryEntry};
 use ptm_bench::scale_from_env;
 use ptm_core::durability::ForcePolicy;
 use ptm_types::rng::SplitMix64;
 use std::fmt::Write as _;
-use std::time::Instant;
 
 fn env_u64(name: &str) -> Option<u64> {
     std::env::var(name).ok().and_then(|s| s.parse().ok())
@@ -48,7 +46,6 @@ fn main() {
         stride.map_or("auto".to_string(), |k| k.to_string()),
     );
 
-    let wall = Instant::now();
     let mut reports: Vec<DurableCellReport> = Vec::new();
     for spec in &cells {
         for &policy in &policies {
@@ -72,7 +69,6 @@ fn main() {
             }
         }
     }
-    let seq_wall_ns = wall.elapsed().as_nanos() as u64;
 
     for r in &reports {
         let ctx = format!(
@@ -154,39 +150,7 @@ fn main() {
         _ => "mixed".to_string(),
     };
     let out = std::env::var("PTM_BENCH_OUT").unwrap_or_else(|_| "BENCH_durable.json".to_string());
-    let prior = match std::env::var("PTM_BENCH_HISTORY").as_deref() {
-        Ok("none") => Vec::new(),
-        Ok(path) => prior_entries(&std::fs::read_to_string(path).unwrap_or_default()),
-        Err(_) => {
-            let from_out = std::fs::read_to_string(&out).unwrap_or_default();
-            let text = if prior_entries(&from_out).is_empty() {
-                std::fs::read_to_string("BENCH_durable.json").unwrap_or_default()
-            } else {
-                from_out
-            };
-            prior_entries(&text)
-        }
-    };
-    let entry = HistoryEntry {
-        git_rev: ptm_bench::meta::git_rev(),
-        rustc: ptm_bench::meta::rustc_version().to_string(),
-        host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        scale: format!("{scale:?}"),
-        workers: 1,
-        cells: reports.len(),
-        total_cycles: reports.iter().map(|r| r.probe_cycles).sum(),
-        seq_wall_ns,
-        force_policy: Some(policy_label.clone()),
-    };
-
-    let json = render_json(
-        scale,
-        stride,
-        &policy_label,
-        &seeds,
-        &reports,
-        &render_history_or_die("durable", &prior, &entry),
-    );
+    let json = render_json(scale, stride, &policy_label, &seeds, &reports);
     std::fs::write(&out, json).expect("write benchmark report");
     eprintln!("durable: wrote {out}");
 }
@@ -197,7 +161,6 @@ fn render_json(
     policy_label: &str,
     seeds: &[u64],
     reports: &[DurableCellReport],
-    history: &str,
 ) -> String {
     let mut s = String::new();
     s.push_str("{\n");
@@ -228,7 +191,6 @@ fn render_json(
             .collect::<Vec<_>>()
             .join(", ")
     );
-    s.push_str(history);
     let _ = writeln!(s, "  \"cells\": [");
     for (i, r) in reports.iter().enumerate() {
         let comma = if i + 1 == reports.len() { "" } else { "," };

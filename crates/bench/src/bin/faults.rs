@@ -13,8 +13,8 @@
 //! PTM_FAULT_SEED=7 PTM_BENCH_OUT=/tmp/f.json cargo run -p ptm-bench --release --bin faults
 //! ```
 
+use ptm_bench::cells::cells_from_env;
 use ptm_bench::faults::{run_cell_plain, run_cell_under_plan, seeded_plan, FaultCellReport};
-use ptm_bench::parallel::cells_from_env;
 use ptm_sim::FaultPlan;
 use std::fmt::Write as _;
 

@@ -2,8 +2,7 @@
 //! {0.6, 0.9, 1.2} × shards {1, 2, 4} × strategy {sequential,
 //! validate-only}, checking every block of every pass against an
 //! independent reference fold of the committed transfers. Emits
-//! `BENCH_service.json` on the same history-trajectory scheme as the
-//! other bench binaries (see `bench_gate`).
+//! `BENCH_service.json`.
 //!
 //! ```text
 //! cargo run -p ptm-bench --release --bin service
@@ -11,7 +10,6 @@
 //! PTM_BENCH_OUT=/tmp/x.json cargo run -p ptm-bench --release --bin service
 //! ```
 
-use ptm_bench::history::{prior_entries, render_history_or_die, HistoryEntry};
 use ptm_bench::service::{run_sweep, ServiceCell, SHARDS, SKEWS};
 use ptm_bench::{scale_from_env, service::stream_config};
 use std::fmt::Write as _;
@@ -38,43 +36,7 @@ fn main() {
     );
 
     let out = std::env::var("PTM_BENCH_OUT").unwrap_or_else(|_| "BENCH_service.json".to_string());
-    let prior = match std::env::var("PTM_BENCH_HISTORY").as_deref() {
-        Ok("none") => Vec::new(),
-        Ok(path) => prior_entries(&std::fs::read_to_string(path).unwrap_or_default()),
-        Err(_) => {
-            let from_out = std::fs::read_to_string(&out).unwrap_or_default();
-            let text = if prior_entries(&from_out).is_empty() {
-                std::fs::read_to_string("BENCH_service.json").unwrap_or_default()
-            } else {
-                from_out
-            };
-            prior_entries(&text)
-        }
-    };
-
-    // The trajectory gates the sequential strategy (index 0): simulated
-    // cycles advanced per wall second of the sequential pass, the same
-    // throughput metric as the hotpath trajectory.
-    let seq_wall: u64 = cells.iter().map(|c| c.strategies[0].wall_ns).sum();
-    let total_cycles: u64 = cells.iter().map(|c| c.strategies[0].shard_cycles).sum();
-    let entry = HistoryEntry {
-        git_rev: ptm_bench::meta::git_rev(),
-        rustc: ptm_bench::meta::rustc_version().to_string(),
-        host_cores,
-        scale: format!("{scale:?}"),
-        workers: 2,
-        cells: cells.len(),
-        total_cycles,
-        seq_wall_ns: seq_wall,
-        force_policy: None,
-    };
-
-    let json = render_json(
-        scale,
-        host_cores,
-        &cells,
-        &render_history_or_die("service", &prior, &entry),
-    );
+    let json = render_json(scale, host_cores, &cells);
     std::fs::write(&out, json).expect("write benchmark report");
 
     for c in &cells {
@@ -94,12 +56,7 @@ fn main() {
     eprintln!("service: wrote {out}");
 }
 
-fn render_json(
-    scale: ptm_workloads::Scale,
-    host_cores: usize,
-    cells: &[ServiceCell],
-    history_block: &str,
-) -> String {
+fn render_json(scale: ptm_workloads::Scale, host_cores: usize, cells: &[ServiceCell]) -> String {
     let wcfg = stream_config(scale, SKEWS[0]);
     let mut s = String::new();
     s.push_str("{\n");
@@ -111,7 +68,6 @@ fn render_json(
     let _ = writeln!(s, "  \"txs_per_stream\": {},", wcfg.txs);
     let _ = writeln!(s, "  \"read_only_pct\": {},", wcfg.read_only_pct);
     let _ = writeln!(s, "  \"max_batch\": {MAX_BATCH},");
-    s.push_str(history_block);
     let _ = writeln!(s, "  \"cells\": [");
     for (i, c) in cells.iter().enumerate() {
         let comma = if i + 1 == cells.len() { "" } else { "," };

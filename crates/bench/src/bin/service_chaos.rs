@@ -1,9 +1,8 @@
 //! Service-chaos drill: crash-recovery sweep (force policies × log-fault
 //! seed classes × every-K-steps, each point oracle-checked), shard-storm
 //! degradation cells, and a bounded-queue backpressure flood. Emits
-//! `BENCH_service_chaos.json` on the history-trajectory scheme with
-//! `force_policy: "mixed"` (the sweep spans all policies; gate with
-//! `bench_gate --service`).
+//! `BENCH_service_chaos.json` with `force_policy: "mixed"` (the sweep spans
+//! all policies).
 //!
 //! ```text
 //! cargo run -p ptm-bench --release --bin service_chaos
@@ -14,7 +13,6 @@
 //! At `small` scale and the default stride the sweep exercises ≥ 200
 //! crash points; the binary aborts if it does not.
 
-use ptm_bench::history::{prior_entries, render_history_or_die, HistoryEntry};
 use ptm_bench::scale_from_env;
 use ptm_bench::service_chaos::{
     chaos_stream_config, run_backpressure, run_crash_sweep, run_degradation, BackpressureReport,
@@ -45,7 +43,6 @@ fn main() {
         wcfg.txs,
     );
 
-    let t0 = std::time::Instant::now();
     let cells = run_crash_sweep(scale, every_k);
     let points: u64 = cells.iter().map(|c| c.points).sum();
     eprintln!(
@@ -69,41 +66,9 @@ fn main() {
         "service_chaos: flood shed {}/{} with retry hints <= {} ms",
         backpressure.shed, backpressure.offered, backpressure.max_retry_after_ms
     );
-    let wall_ns = t0.elapsed().as_nanos() as u64;
 
     let out =
         std::env::var("PTM_BENCH_OUT").unwrap_or_else(|_| "BENCH_service_chaos.json".to_string());
-    let prior = match std::env::var("PTM_BENCH_HISTORY").as_deref() {
-        Ok("none") => Vec::new(),
-        Ok(path) => prior_entries(&std::fs::read_to_string(path).unwrap_or_default()),
-        Err(_) => {
-            let from_out = std::fs::read_to_string(&out).unwrap_or_default();
-            let text = if prior_entries(&from_out).is_empty() {
-                std::fs::read_to_string("BENCH_service_chaos.json").unwrap_or_default()
-            } else {
-                from_out
-            };
-            prior_entries(&text)
-        }
-    };
-
-    // The trajectory's work metric: slowest-shard cycles of each cell's
-    // clean pass, over the wall time of the whole drill. `force_policy`
-    // is "mixed" — the sweep spans every policy, so the gate refuses a
-    // comparison against any single-policy or unjournaled report.
-    let total_cycles: u64 = cells.iter().map(|c| c.clean_cycles).sum();
-    let entry = HistoryEntry {
-        git_rev: ptm_bench::meta::git_rev(),
-        rustc: ptm_bench::meta::rustc_version().to_string(),
-        host_cores,
-        scale: format!("{scale:?}"),
-        workers: SHARDS,
-        cells: cells.len(),
-        total_cycles,
-        seq_wall_ns: wall_ns,
-        force_policy: Some("mixed".to_string()),
-    };
-
     let json = render_json(
         scale,
         host_cores,
@@ -111,7 +76,6 @@ fn main() {
         &cells,
         &degradation,
         &backpressure,
-        &render_history_or_die("service_chaos", &prior, &entry),
     );
     std::fs::write(&out, json).expect("write benchmark report");
 
@@ -148,7 +112,6 @@ fn render_json(
     cells: &[ChaosCell],
     degradation: &[DegradationCell],
     backpressure: &BackpressureReport,
-    history_block: &str,
 ) -> String {
     let wcfg = chaos_stream_config(scale);
     let points: u64 = cells.iter().map(|c| c.points).sum();
@@ -164,7 +127,6 @@ fn render_json(
     let _ = writeln!(s, "  \"max_batch\": {MAX_BATCH},");
     let _ = writeln!(s, "  \"crash_stride\": {every_k},");
     let _ = writeln!(s, "  \"force_policy\": \"mixed\",");
-    s.push_str(history_block);
     let _ = writeln!(s, "  \"crash_cells\": [");
     for (i, c) in cells.iter().enumerate() {
         let comma = if i + 1 == cells.len() { "" } else { "," };

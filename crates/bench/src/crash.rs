@@ -9,8 +9,8 @@
 //! the same seed (grid points stay fault-free), and the whole sweep is
 //! digested so the report alone reproduces it.
 
+use crate::cells::{CellSpec, CellWorkload};
 use crate::faults::cell_machine;
-use crate::parallel::{CellSpec, CellWorkload};
 use ptm_sim::crash::CrashPlan;
 use ptm_sim::{FaultPlan, SystemKind};
 use ptm_types::rng::{Fnv1a64, SplitMix64};

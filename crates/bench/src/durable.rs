@@ -16,8 +16,8 @@
 //! completing with `max_append_attempts` ≤ the retry bound), reordered
 //! completions and torn/lost in-flight appends at the crash boundary.
 
+use crate::cells::{CellSpec, CellWorkload};
 use crate::faults::cell_machine;
-use crate::parallel::{CellSpec, CellWorkload};
 use ptm_core::durability::{DurabilityConfig, ForcePolicy, MAX_LOG_RETRIES};
 use ptm_mem::{LogDevConfig, LogFaultPlan};
 use ptm_sim::crash::CrashPlan;

@@ -1,13 +1,13 @@
 //! Fault-injected benchmark cells (the `faults` binary's engine).
 //!
-//! Reuses the hot-path harness's [`CellSpec`] grid, but runs each cell
-//! through [`Machine::run_with_faults`] and keeps everything the fault
+//! Runs the [`CellSpec`] grid of [`crate::cells::default_cells`] through
+//! [`Machine::run_with_faults`] and keeps everything the fault
 //! acceptance criteria need: the full stats display (the bit-identity
 //! comparator for empty plans), the serializability-oracle verdict, the
 //! stats-identity check, and the exhaustion/swap counters that prove a
 //! seeded plan actually hurt.
 
-use crate::parallel::CellSpec;
+use crate::cells::CellSpec;
 use ptm_sim::{
     check_invariants, diff_against_machine, serialize_programs, FaultAction, FaultEvent, FaultPlan,
     Machine, SystemKind,
@@ -149,7 +149,7 @@ pub fn seeded_plan(seed: u64) -> FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::CellWorkload;
+    use crate::cells::CellWorkload;
     use ptm_workloads::Scale;
 
     fn spec(kind: SystemKind) -> CellSpec {

@@ -1,15 +1,15 @@
 //! Shared harness code for the table/figure regeneration binaries and the
-//! Criterion benches.
+//! oracle sweeps. Everything here checks simulated results; host wall-time
+//! claims come from the repository benchmark under `benchmark/`.
 
-use ptm_sim::{run, serialize_programs, speedup_percent, Machine, SystemKind};
+use ptm_sim::{run, serialize_programs, speedup_percent, SystemKind};
 use ptm_workloads::{Scale, Workload};
 
+pub mod cells;
 pub mod crash;
 pub mod durable;
 pub mod faults;
-pub mod history;
 pub mod meta;
-pub mod parallel;
 pub mod service;
 pub mod service_chaos;
 
@@ -105,11 +105,6 @@ pub fn speedup_bars(workload: &Workload, systems: &[SystemKind]) -> (u64, Vec<Sp
         })
         .collect();
     (serial_cycles, bars)
-}
-
-/// Runs one workload under one system (convenience for the benches).
-pub fn run_workload(workload: &Workload, kind: SystemKind) -> Machine {
-    run(workload.machine_config(), kind, workload.programs_for(kind))
 }
 
 /// Parses a scale name, case-insensitively. Unknown names are an error

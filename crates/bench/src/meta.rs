@@ -1,9 +1,8 @@
 //! Provenance metadata for benchmark reports.
 //!
 //! Every `BENCH_*.json` records which commit, compiler and host produced its
-//! numbers, so a regression surfaced later can be traced to the build that
-//! introduced it — and so the bench-history gate can refuse to compare
-//! wall-clocks measured on different hosts.
+//! numbers, so a change surfaced later can be traced to the build that
+//! introduced it.
 
 use std::process::Command;
 

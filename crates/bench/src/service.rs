@@ -34,9 +34,10 @@ pub struct ReferenceLedger {
 impl ReferenceLedger {
     /// Checks one block's outcome against the reference, then folds the
     /// block's committed transfers into it: one receipt per client
-    /// transaction, a read-only receipt exactly for the probes, each probe
-    /// answering the reference balance as of the previous block, and the
-    /// block's deltas equal to the fold of its committed transfers.
+    /// transaction in client order, a read-only receipt exactly for the
+    /// probes, each probe answering the reference balance as of the
+    /// previous block, and the block's deltas equal to the fold of its
+    /// committed transfers.
     ///
     /// # Panics
     ///
@@ -47,10 +48,9 @@ impl ReferenceLedger {
             block.len(),
             "{what}: one receipt per tx"
         );
-        let txs: HashMap<u64, &ClientTx> = block.iter().map(|t| (t.id, t)).collect();
         let mut delta: HashMap<u64, u32> = HashMap::new();
-        for r in &out.receipts {
-            let tx = txs[&r.tx_id];
+        for (tx, r) in block.iter().zip(&out.receipts) {
+            assert_eq!(r.tx_id, tx.id, "{what}: receipts in client order");
             assert_eq!(
                 matches!(r.status, ReceiptStatus::ReadOnly { .. }),
                 tx.read_only,
@@ -81,6 +81,18 @@ impl ReferenceLedger {
             let b = self.balances.entry(acct).or_insert(0);
             *b = b.wrapping_add(d);
         }
+    }
+
+    /// The reference balances: every non-zero account, sorted by account.
+    pub fn balances(&self) -> Vec<(u64, u32)> {
+        let mut balances: Vec<(u64, u32)> = self
+            .balances
+            .iter()
+            .filter(|&(_, &b)| b != 0)
+            .map(|(&a, &b)| (a, b))
+            .collect();
+        balances.sort_unstable();
+        balances
     }
 }
 

@@ -8,7 +8,8 @@
 //!    each crash point is held to the committed-prefix oracle (recovered
 //!    transactions are a submission prefix, no durably-acked transaction
 //!    is lost, force-covered blocks redeliver bit-identical receipts,
-//!    balances equal the naive ledger fold, and recovery is idempotent).
+//!    every recovered block matches the [`ReferenceLedger`], and recovery
+//!    is idempotent).
 //! 2. **Degradation cells** — shard storms (abort storms, memory
 //!    squeezes, TAV caps) on every block; the service must complete every
 //!    transaction, degraded and counted, never deadlocked, and every
@@ -28,7 +29,6 @@ use ptm_workloads::{
     service::{generate, generate_bursts},
     BurstConfig, ClientTx, Scale, ServiceWorkloadConfig,
 };
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// Force policies of the crash sweep, with their report labels.
@@ -95,8 +95,9 @@ pub struct OraclePoint {
 ///
 /// Panics (failing the bench) on any violation: a phantom or duplicate
 /// receipt, a lost durably-acked transaction, a durable block whose
-/// redelivered receipts differ from the pre-crash delivery, a balance
-/// diverging from the naive ledger fold, or a non-idempotent recovery.
+/// redelivered receipts differ from the pre-crash delivery, a recovered
+/// block or balance diverging from the [`ReferenceLedger`], or a
+/// non-idempotent recovery.
 pub fn oracle_check(
     cfg: &ServiceConfig,
     stream: &[ClientTx],
@@ -147,16 +148,19 @@ pub fn oracle_check(
         }
     }
 
-    // (4) Balances are the naive wrapping fold of the recovered prefix.
-    let mut ledger: BTreeMap<u64, u32> = BTreeMap::new();
-    for tx in stream[..n].iter().filter(|t| !t.read_only) {
-        let e = ledger.entry(tx.from).or_insert(0);
-        *e = e.wrapping_sub(tx.amount);
-        let e = ledger.entry(tx.to).or_insert(0);
-        *e = e.wrapping_add(tx.amount);
+    // (4) Every recovered block, in seal order, matches the reference
+    // ledger: receipts, read-only probe answers and deltas. Blocks are
+    // consecutive slices of the submission order, and the recovered
+    // balances are the reference's.
+    let mut reference = ReferenceLedger::default();
+    let mut next = 0;
+    for out in &rec.outcomes {
+        let block = &stream[next..next + out.receipts.len()];
+        let what = format!("step {} recovered block {}", image.at_step, out.block_seq);
+        reference.check_and_fold(&what, block, out);
+        next += block.len();
     }
-    let expected_balances: Vec<(u64, u32)> = ledger.into_iter().filter(|&(_, b)| b != 0).collect();
-    assert_eq!(rec.balances, expected_balances, "ledger fold mismatch");
+    assert_eq!(rec.balances, reference.balances(), "ledger fold mismatch");
 
     // (5) Idempotence: recovering the recovered journal is a no-op.
     let again = recover(cfg, &rec.crash_image());

@@ -636,7 +636,6 @@ pub fn fold_deltas(balances: &mut FastMap<u64, u32>, deltas: &[(u64, u32)]) {
 mod tests {
     use super::*;
     use crate::config::ShardChaosConfig;
-    use ptm_sim::{FaultAction, FaultEvent};
 
     fn transfer(id: u64, from: u64, to: u64) -> ClientTx {
         ClientTx {
@@ -724,46 +723,6 @@ mod tests {
         assert_eq!(out.receipts.len(), block.len(), "degraded, not dropped");
         let base = run_block(&ServiceConfig::new(200, 1), &block, &FastMap::default());
         assert_eq!(out.deltas, base.deltas, "escalation preserves the ledger");
-    }
-
-    #[test]
-    fn exhaustion_panic_is_contained_to_the_attempt() {
-        // A handcrafted unpaired squeeze (leave 0 frames, never release)
-        // drives the machine into its bounded-retry exhaustion panic. The
-        // chaos loop must catch it, burn the attempts, and escalate —
-        // the caller sees a served block, not a poisoned thread.
-        let block: Vec<ClientTx> = (0..40)
-            .map(|i| transfer(i, (i * 3) % 64, (i * 5 + 1) % 64))
-            .collect();
-        let cfg = ServiceConfig::new(64, 1);
-        let map = ShardMap::new(1, 64);
-        let plans = compile(&cfg, &map, &block);
-        let plan = &plans[0];
-        let (programs, _) = plan.programs(cfg.threads_per_shard);
-        let mut mcfg = shard_machine_cfg(&cfg, plan);
-        // Starve the pool hard enough that the squeeze bites.
-        mcfg.mem_frames = 24;
-        let hostile = FaultPlan {
-            events: vec![FaultEvent {
-                step: 10,
-                action: FaultAction::SqueezeMemory { leave: 0 },
-            }],
-        };
-        let died = silence_panics(|| {
-            catch_unwind(AssertUnwindSafe(|| {
-                Machine::new(mcfg, cfg.kind, programs).run_with_faults(&hostile)
-            }))
-        });
-        if died.is_err() {
-            // The storm is lethal to a bare machine — now prove run_shard
-            // survives the same class of weather via its catch_unwind.
-            let chaotic = cfg.with_chaos(ShardChaosConfig {
-                cycle_budget: u64::MAX / 2,
-                ..ShardChaosConfig::new(5)
-            });
-            let out = run_block(&chaotic, &block, &FastMap::default());
-            assert_eq!(out.receipts.len(), block.len());
-        }
     }
 
     /// Everything a shard machine's history could leak into: receipts,
