@@ -87,7 +87,7 @@ pub struct JournalStats {
 }
 
 /// The service's durable ingest journal: a [`LogDevice`] plus the force
-/// policy, a logical cycle clock, and the pending→acked accept tracking
+/// policy, a logical cycle clock, and the count of durably acked accepts
 /// the crash oracle checks.
 #[derive(Debug, Clone)]
 pub struct Journal {
@@ -103,10 +103,6 @@ pub struct Journal {
     forced_records: u64,
     /// Block commits since the last force (group commit).
     commits_since_force: u32,
-    /// Client ids accepted since the last force, in accept order.
-    pending_acks: Vec<u64>,
-    /// Client ids durably acked, in accept order.
-    acked: Vec<u64>,
     stats: JournalStats,
 }
 
@@ -120,8 +116,6 @@ impl Journal {
             records: 0,
             forced_records: 0,
             commits_since_force: 0,
-            pending_acks: Vec::new(),
-            acked: Vec::new(),
             stats: JournalStats::default(),
         }
     }
@@ -140,8 +134,6 @@ impl Journal {
             // a force ever promises.
             forced_records: records,
             commits_since_force: 0,
-            pending_acks: Vec::new(),
-            acked: Vec::new(),
             stats: JournalStats::default(),
         }
     }
@@ -161,11 +153,6 @@ impl Journal {
         self.dev.stats()
     }
 
-    /// Client ids durably acked so far, in accept order.
-    pub fn acked(&self) -> &[u64] {
-        &self.acked
-    }
-
     /// The logical cycle clock.
     pub fn now(&self) -> Cycle {
         self.now
@@ -181,7 +168,6 @@ impl Journal {
         );
         self.stats.accept_records += 1;
         self.append_retrying(&rec);
-        self.pending_acks.push(tx.id);
     }
 
     /// Journals a seal: the preceding `count` un-sealed accepts became
@@ -222,15 +208,15 @@ impl Journal {
     }
 
     /// Forces the device: drains in-flight appends behind a flush barrier
-    /// and promotes every pending accept to durably acked.
+    /// and promotes every pending accept to durably acked. Acks are
+    /// therefore always the oldest accepts, so a count names them.
     pub fn force(&mut self) {
         self.commits_since_force = 0;
         self.stats.forces += 1;
         let wait = self.dev.force(self.now);
         self.now += wait + 1;
         self.forced_records = self.records;
-        self.acked.append(&mut self.pending_acks);
-        self.stats.acked_txs = self.acked.len() as u64;
+        self.stats.acked_txs = self.stats.accept_records;
     }
 
     /// Records (by journal sequence number) covered by the last force.
@@ -571,14 +557,17 @@ mod tests {
         }
         j.seal(0, 4);
         j.commit(0, &[]);
-        assert!(j.acked().is_empty(), "group(2): first commit doesn't force");
+        assert_eq!(
+            j.stats().acked_txs,
+            0,
+            "group(2): first commit doesn't force"
+        );
         for t in (4..6).map(tx) {
             j.accept(&t);
         }
         j.seal(1, 2);
         j.commit(1, &[]);
-        assert_eq!(j.acked(), &[0, 1, 2, 3, 4, 5], "second commit forces all");
-        assert_eq!(j.stats().acked_txs, 6);
+        assert_eq!(j.stats().acked_txs, 6, "second commit forces all");
         assert_eq!(j.stats().forces, 1);
     }
 

@@ -4,10 +4,11 @@
 //! [`Engine`] is the synchronous core the threaded ingest worker and the
 //! crash-sweep driver share. Every pipeline action advances a monotone
 //! **step counter**; a [`ServiceCrashPlan`] names the step at which the
-//! process dies, and [`Engine::capture`] freezes everything the crash
-//! oracle needs: the journal's crash-boundary device image, the accepted
-//! prefix, the durably-acked ids, and the receipts delivered before the
-//! cut.
+//! process dies, and [`run_stream_with_crash`] freezes everything the
+//! crash oracle needs: the journal's crash-boundary device image, the
+//! accepted prefix, the durably-acked ids, and the receipts delivered
+//! before the cut. The engine itself holds O(block) state; the crash
+//! driver, which has the stream, rebuilds the prefixes from counts.
 //!
 //! [`recover`] is the other half: scan the journal image ([`replay`]),
 //! re-execute every sealed block in seal order (block execution is a pure
@@ -41,7 +42,7 @@ pub struct ServiceCrashPlan {
 }
 
 /// The pipeline crashed (a [`ServiceCrashPlan`] fired). Carries nothing:
-/// the state of the dead process is read with [`Engine::capture`].
+/// [`run_stream_with_crash`] reads the state of the dead process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Crashed;
 
@@ -85,14 +86,12 @@ pub struct Engine {
     report: ServiceReport,
     step: u64,
     crash_at: Option<u64>,
-    /// Accepted txs in submission order (oracle bookkeeping).
-    accepted: Vec<ClientTx>,
-    /// Outcomes delivered so far (oracle bookkeeping; drained by the
-    /// worker as it forwards them).
-    delivered: Vec<BlockOutcome>,
-    /// `(block_seq, journal records at commit)` — a block is durable once
-    /// a force covers its last commit chunk.
-    commit_marks: Vec<(u64, u64)>,
+    /// Client transactions accepted so far.
+    accepted: u64,
+    /// Blocks whose commit a policy force has covered. Always the
+    /// seal-order prefix `0..durable_blocks`: blocks commit in `seq` order
+    /// and a force covers every earlier record.
+    durable_blocks: u64,
 }
 
 impl Engine {
@@ -108,9 +107,8 @@ impl Engine {
             report: ServiceReport::default(),
             step: 0,
             crash_at: crash.map(|c| c.at_step),
-            accepted: Vec::new(),
-            delivered: Vec::new(),
-            commit_marks: Vec::new(),
+            accepted: 0,
+            durable_blocks: 0,
         }
     }
 
@@ -139,7 +137,7 @@ impl Engine {
         if let Some(j) = &mut self.journal {
             j.accept(&tx);
         }
-        self.accepted.push(tx);
+        self.accepted += 1;
         self.batch.push(tx);
         if self.batch.len() >= self.cfg.max_batch {
             self.flush()
@@ -178,7 +176,11 @@ impl Engine {
         self.tick()?;
         if let Some(j) = &mut self.journal {
             j.commit(seq, &outcome.deltas);
-            self.commit_marks.push((seq, j.records()));
+            // Every commit appends a record, so this holds exactly when
+            // the policy forced at this commit.
+            if j.forced_records() == j.records() {
+                self.durable_blocks = seq + 1;
+            }
         }
         // Fold: the deltas land in the balance table and the receipts are
         // released to the client.
@@ -197,7 +199,6 @@ impl Engine {
         if outcome.stats.shard_retries > 0 || outcome.stats.shard_escalations > 0 {
             self.report.degraded_blocks += 1;
         }
-        self.delivered.push(outcome.clone());
         Ok(Some(outcome))
     }
 
@@ -211,25 +212,12 @@ impl Engine {
             self.report.acked_txs = j.stats().acked_txs;
             self.report.journal = Some(*j.stats());
         }
-        let mut balances: Vec<(u64, u32)> = self
-            .balances
-            .iter()
-            .map(|(&a, &b)| (a, b))
-            .filter(|&(_, b)| b != 0)
-            .collect();
-        balances.sort_unstable();
-        self.report.balances = balances;
+        self.report.balances = self.sorted_balances();
         Ok(self.report.clone())
     }
 
-    /// Freezes the dead process for the crash oracle. Only meaningful
-    /// after a method returned [`Crashed`]; requires a journal (a crash
-    /// plan without a journal has nothing to recover from).
-    pub fn capture(self) -> ServiceCrashImage {
-        let journal = self
-            .journal
-            .expect("crash capture requires a journaled service");
-        let forced = journal.forced_records();
+    /// The balance table, sorted, zero balances dropped.
+    fn sorted_balances(&self) -> Vec<(u64, u32)> {
         let mut balances: Vec<(u64, u32)> = self
             .balances
             .iter()
@@ -237,19 +225,32 @@ impl Engine {
             .filter(|&(_, b)| b != 0)
             .collect();
         balances.sort_unstable();
+        balances
+    }
+
+    /// Freezes the dead process for the crash oracle, after a method
+    /// returned [`Crashed`]. The engine keeps only counts: the accepted
+    /// and acked transactions are prefixes of `stream`, the submission
+    /// order, and `delivered` holds the outcomes it handed back before it
+    /// died. Requires a journal (a crash plan without a journal has
+    /// nothing to recover from).
+    fn capture(&self, stream: &[ClientTx], delivered: Vec<BlockOutcome>) -> ServiceCrashImage {
+        let journal = self
+            .journal
+            .as_ref()
+            .expect("crash capture requires a journaled service");
+        let accepted = stream[..self.accepted as usize].to_vec();
         ServiceCrashImage {
             policy: journal.policy(),
             at_step: self.step,
-            accepted: self.accepted,
-            acked: journal.acked().to_vec(),
-            delivered: self.delivered,
-            durable_blocks: self
-                .commit_marks
+            acked: accepted[..journal.stats().acked_txs as usize]
                 .iter()
-                .filter(|&&(_, mark)| mark <= forced)
-                .map(|&(seq, _)| seq)
+                .map(|t| t.id)
                 .collect(),
-            balances,
+            accepted,
+            delivered,
+            durable_blocks: (0..self.durable_blocks).collect(),
+            balances: self.sorted_balances(),
             journal: journal.crash_image(),
         }
     }
@@ -273,14 +274,16 @@ pub fn run_stream_with_crash(
     crash: Option<ServiceCrashPlan>,
 ) -> CrashRun {
     let mut engine = Engine::new(cfg, crash);
+    let mut delivered = Vec::new();
     for tx in stream {
-        if engine.accept(*tx).is_err() {
-            return CrashRun::Crashed(engine.capture());
+        match engine.accept(*tx) {
+            Ok(outcome) => delivered.extend(outcome),
+            Err(Crashed) => return CrashRun::Crashed(engine.capture(stream, delivered)),
         }
     }
     match engine.finish() {
         Ok(report) => CrashRun::Completed(report),
-        Err(Crashed) => CrashRun::Crashed(engine.capture()),
+        Err(Crashed) => CrashRun::Crashed(engine.capture(stream, delivered)),
     }
 }
 

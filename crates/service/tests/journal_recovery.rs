@@ -42,6 +42,31 @@ fn sweep_stream() -> Vec<ClientTx> {
 /// The crash oracle: recover `image` and check every invariant above.
 /// Returns the number of transactions that survived.
 fn check_crash_point(cfg: &ServiceConfig, stream: &[ClientTx], image: &ServiceCrashImage) -> usize {
+    // The image's shape: acked ids are the oldest accepts, and the durable
+    // and delivered blocks are seal-order prefixes.
+    let oldest: Vec<u64> = image.accepted[..image.acked.len()]
+        .iter()
+        .map(|t| t.id)
+        .collect();
+    assert_eq!(image.acked, oldest, "acked ids are the oldest accepts");
+    assert!(
+        image
+            .durable_blocks
+            .iter()
+            .copied()
+            .eq(0..image.durable_blocks.len() as u64),
+        "durable blocks are a seal-order prefix: {:?}",
+        image.durable_blocks
+    );
+    assert!(
+        image
+            .delivered
+            .iter()
+            .map(|o| o.block_seq)
+            .eq(0..image.delivered.len() as u64),
+        "delivered blocks are a seal-order prefix"
+    );
+
     let rec = recover(cfg, &image.journal);
     assert_eq!(rec.report.delta_mismatches, 0, "re-execution is pure");
 
