@@ -7,7 +7,7 @@
 //! PTM_SCALE=tiny cargo run -p ptm-bench --bin fig4    # quick look
 //! ```
 
-use ptm_bench::{average, scale_from_env, speedup_bars};
+use ptm_bench::{average, option, scale_from_env, speedup_bars};
 use ptm_sim::SystemKind;
 use ptm_workloads::splash2;
 
@@ -15,7 +15,11 @@ fn main() {
     let scale = scale_from_env();
     let mut systems: Vec<SystemKind> = SystemKind::figure4().to_vec();
     // PTM_EXTENSIONS=1 appends the LogTM extension backend as an extra bar.
-    if std::env::var("PTM_EXTENSIONS").is_ok() {
+    let on = |v: &str| match v {
+        "1" => Ok(()),
+        _ => Err(format!("invalid value {v:?}: expected 1")),
+    };
+    if option("PTM_EXTENSIONS", on).is_some() {
         systems.push(SystemKind::LogTm);
     }
     println!("Figure 4 — % speedup over one thread (scale: {scale:?})\n");

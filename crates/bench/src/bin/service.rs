@@ -10,9 +10,9 @@
 //! PTM_BENCH_OUT=/tmp/x.json cargo run -p ptm-bench --release --bin service
 //! ```
 
-use ptm_bench::service::{run_sweep, ServiceCell, SHARDS, SKEWS};
-use ptm_bench::{scale_from_env, service::stream_config};
-use std::fmt::Write as _;
+use ptm_bench::json::{self, Fixed};
+use ptm_bench::service::{run_sweep, stream_config, SHARDS, SKEWS};
+use ptm_bench::{out_path, scale_from_env};
 
 /// Admission batch size of the sweep.
 const MAX_BATCH: usize = 256;
@@ -35,8 +35,51 @@ fn main() {
         cells.len()
     );
 
-    let out = std::env::var("PTM_BENCH_OUT").unwrap_or_else(|_| "BENCH_service.json".to_string());
-    let json = render_json(scale, host_cores, &cells);
+    let out = out_path("BENCH_service.json");
+    let seq_wall: u64 = cells.iter().map(|c| c.strategies[0].wall_ns).sum();
+    let txs: usize = cells.iter().map(|c| c.txs).sum();
+    let json = json::object(|o| {
+        o.field("scale", format!("{scale:?}"));
+        ptm_bench::meta::provenance(o);
+        o.field("accounts", wcfg.accounts)
+            .field("txs_per_stream", wcfg.txs)
+            .field("read_only_pct", wcfg.read_only_pct)
+            .field("max_batch", MAX_BATCH);
+        o.arr("cells", |a| {
+            for c in &cells {
+                a.obj(|o| {
+                    o.field("skew", Fixed(c.skew, 1))
+                        .field("shards", c.shards)
+                        .field("txs", c.txs)
+                        .field("blocks", c.blocks)
+                        .field("cross_shard", c.cross_shard)
+                        .field("read_only_fastpath_hits", c.read_only_hits)
+                        .field("shard_skew", Fixed(c.shard_skew, 4))
+                        .field("receipts_match", true)
+                        .arr("strategies", |a| {
+                            for r in &c.strategies {
+                                a.obj(|o| {
+                                    o.field("strategy", r.strategy)
+                                        .field("wall_ns", r.wall_ns)
+                                        .field("tx_per_sec", Fixed(r.tx_per_sec, 1))
+                                        .field("commits", r.commits)
+                                        .field("aborts", r.aborts)
+                                        .field("abort_rate", Fixed(r.abort_rate, 4))
+                                        .field("shard_cycles", r.shard_cycles);
+                                });
+                            }
+                        });
+                });
+            }
+        });
+        o.obj("totals", |t| {
+            t.field("seq_wall_ns", seq_wall).field(
+                "seq_tx_per_sec",
+                Fixed(txs as f64 / (seq_wall as f64 / 1e9).max(1e-9), 1),
+            );
+        });
+        o.field("receipts_match", true);
+    });
     std::fs::write(&out, json).expect("write benchmark report");
 
     for c in &cells {
@@ -54,68 +97,4 @@ fn main() {
         );
     }
     eprintln!("service: wrote {out}");
-}
-
-fn render_json(scale: ptm_workloads::Scale, host_cores: usize, cells: &[ServiceCell]) -> String {
-    let wcfg = stream_config(scale, SKEWS[0]);
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"scale\": \"{scale:?}\",");
-    let _ = writeln!(s, "  \"host_cores\": {host_cores},");
-    let _ = writeln!(s, "  \"git_rev\": \"{}\",", ptm_bench::meta::git_rev());
-    let _ = writeln!(s, "  \"rustc\": \"{}\",", ptm_bench::meta::rustc_version());
-    let _ = writeln!(s, "  \"accounts\": {},", wcfg.accounts);
-    let _ = writeln!(s, "  \"txs_per_stream\": {},", wcfg.txs);
-    let _ = writeln!(s, "  \"read_only_pct\": {},", wcfg.read_only_pct);
-    let _ = writeln!(s, "  \"max_batch\": {MAX_BATCH},");
-    let _ = writeln!(s, "  \"cells\": [");
-    for (i, c) in cells.iter().enumerate() {
-        let comma = if i + 1 == cells.len() { "" } else { "," };
-        let _ = writeln!(s, "    {{");
-        let _ = writeln!(s, "      \"skew\": {:.1},", c.skew);
-        let _ = writeln!(s, "      \"shards\": {},", c.shards);
-        let _ = writeln!(s, "      \"txs\": {},", c.txs);
-        let _ = writeln!(s, "      \"blocks\": {},", c.blocks);
-        let _ = writeln!(s, "      \"cross_shard\": {},", c.cross_shard);
-        let _ = writeln!(
-            s,
-            "      \"read_only_fastpath_hits\": {},",
-            c.read_only_hits
-        );
-        let _ = writeln!(s, "      \"shard_skew\": {:.4},", c.shard_skew);
-        let _ = writeln!(s, "      \"receipts_match\": true,");
-        let _ = writeln!(s, "      \"strategies\": [");
-        for (j, r) in c.strategies.iter().enumerate() {
-            let comma = if j + 1 == c.strategies.len() { "" } else { "," };
-            let _ = writeln!(
-                s,
-                "        {{\"strategy\": \"{}\", \"wall_ns\": {}, \"tx_per_sec\": {:.1}, \
-                 \"commits\": {}, \"aborts\": {}, \"abort_rate\": {:.4}, \
-                 \"shard_cycles\": {}}}{comma}",
-                r.strategy,
-                r.wall_ns,
-                r.tx_per_sec,
-                r.commits,
-                r.aborts,
-                r.abort_rate,
-                r.shard_cycles,
-            );
-        }
-        let _ = writeln!(s, "      ]");
-        let _ = writeln!(s, "    }}{comma}");
-    }
-    let _ = writeln!(s, "  ],");
-    let seq_wall: u64 = cells.iter().map(|c| c.strategies[0].wall_ns).sum();
-    let txs: usize = cells.iter().map(|c| c.txs).sum();
-    let _ = writeln!(s, "  \"totals\": {{");
-    let _ = writeln!(s, "    \"seq_wall_ns\": {seq_wall},");
-    let _ = writeln!(
-        s,
-        "    \"seq_tx_per_sec\": {:.1}",
-        txs as f64 / (seq_wall as f64 / 1e9).max(1e-9)
-    );
-    let _ = writeln!(s, "  }},");
-    let _ = writeln!(s, "  \"receipts_match\": true");
-    s.push_str("}\n");
-    s
 }

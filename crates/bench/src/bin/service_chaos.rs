@@ -6,50 +6,42 @@
 //!
 //! ```text
 //! cargo run -p ptm-bench --release --bin service_chaos
-//! PTM_SCALE=tiny PTM_CHAOS_K=23 cargo run -p ptm-bench --release --bin service_chaos
+//! PTM_SCALE=tiny cargo run -p ptm-bench --release --bin service_chaos
 //! PTM_BENCH_OUT=/tmp/x.json cargo run -p ptm-bench --release --bin service_chaos
 //! ```
 //!
-//! At `small` scale and the default stride the sweep exercises ≥ 200
-//! crash points; the binary aborts if it does not.
+//! Above `tiny` scale the sweep exercises ≥ 200 crash points; the binary
+//! aborts if it does not.
 
-use ptm_bench::scale_from_env;
+use ptm_bench::adversity::{FORCE_POLICIES, LOG_FAULT_SEEDS};
+use ptm_bench::json;
 use ptm_bench::service_chaos::{
-    chaos_stream_config, run_backpressure, run_crash_sweep, run_degradation, BackpressureReport,
-    ChaosCell, DegradationCell, FAULT_SEEDS, MAX_BATCH, POLICIES, SHARDS,
+    chaos_stream_config, run_backpressure, run_crash_sweep, run_degradation, CRASH_STRIDE,
+    MAX_BATCH, SHARDS,
 };
+use ptm_bench::{out_path, scale_from_env};
 use ptm_workloads::Scale;
-use std::fmt::Write as _;
-
-/// Default crash-sweep stride (pipeline steps between crash points).
-const DEFAULT_K: u64 = 12;
 
 fn main() {
     let scale = scale_from_env();
-    let every_k = match std::env::var("PTM_CHAOS_K") {
-        Ok(v) => v
-            .parse()
-            .unwrap_or_else(|_| panic!("PTM_CHAOS_K must be a positive integer, got {v:?}")),
-        Err(_) => DEFAULT_K,
-    };
     let host_cores = ptm_bench::meta::host_cores();
     let wcfg = chaos_stream_config(scale);
     eprintln!(
         "service_chaos: {} policies x {} fault seeds at {scale:?} \
-         ({} accounts, {} txs/stream, batch {MAX_BATCH}, stride {every_k}), {host_cores} host core(s)",
-        POLICIES.len(),
-        FAULT_SEEDS.len(),
+         ({} accounts, {} txs/stream, batch {MAX_BATCH}, stride {CRASH_STRIDE}), {host_cores} host core(s)",
+        FORCE_POLICIES.len(),
+        LOG_FAULT_SEEDS.len(),
         wcfg.accounts,
         wcfg.txs,
     );
 
-    let cells = run_crash_sweep(scale, every_k);
+    let cells = run_crash_sweep(scale);
     let points: u64 = cells.iter().map(|c| c.points).sum();
     eprintln!(
         "service_chaos: {points} crash points oracle-clean across {} cells",
         cells.len()
     );
-    if scale != Scale::Tiny && every_k <= DEFAULT_K {
+    if scale != Scale::Tiny {
         assert!(
             points >= 200,
             "acceptance floor: {points} crash points < 200 at {scale:?}"
@@ -67,16 +59,64 @@ fn main() {
         backpressure.shed, backpressure.offered, backpressure.max_retry_after_ms
     );
 
-    let out =
-        std::env::var("PTM_BENCH_OUT").unwrap_or_else(|_| "BENCH_service_chaos.json".to_string());
-    let json = render_json(
-        scale,
-        host_cores,
-        every_k,
-        &cells,
-        &degradation,
-        &backpressure,
-    );
+    let out = out_path("BENCH_service_chaos.json");
+    let json = json::object(|o| {
+        o.field("scale", format!("{scale:?}"));
+        ptm_bench::meta::provenance(o);
+        o.field("accounts", wcfg.accounts)
+            .field("txs_per_stream", wcfg.txs)
+            .field("shards", SHARDS)
+            .field("max_batch", MAX_BATCH)
+            .field("crash_stride", CRASH_STRIDE)
+            .field("force_policy", "mixed");
+        o.arr("crash_cells", |a| {
+            for c in &cells {
+                a.obj(|o| {
+                    o.field("policy", c.policy.label())
+                        .field("fault_seed", c.fault_seed)
+                        .field("points", c.points)
+                        .field("txs", c.txs)
+                        .field("blocks", c.blocks)
+                        .field("min_recovered", c.min_recovered)
+                        .field("reexecuted", c.reexecuted)
+                        .field("tail_txs", c.tail_txs)
+                        .field("append_retries", c.append_retries)
+                        .field("forces", c.forces)
+                        .field("clean_cycles", c.clean_cycles)
+                        .field("wall_ns", c.wall_ns);
+                });
+            }
+        });
+        o.arr("degradation_cells", |a| {
+            for d in &degradation {
+                a.obj(|o| {
+                    o.field("chaos_seed", d.chaos_seed)
+                        .field("blocks", d.blocks)
+                        .field("txs", d.txs)
+                        .field("retries", d.retries)
+                        .field("stalls", d.stalls)
+                        .field("escalations", d.escalations)
+                        .field("degraded_blocks", d.degraded_blocks)
+                        .field("wall_ns", d.wall_ns);
+                });
+            }
+        });
+        o.obj("backpressure", |o| {
+            o.field("queue_depth", backpressure.queue_depth)
+                .field("bursts", backpressure.bursts)
+                .field("offered", backpressure.offered)
+                .field("admitted", backpressure.admitted)
+                .field("shed", backpressure.shed)
+                .field("max_retry_after_ms", backpressure.max_retry_after_ms);
+        });
+        o.obj("totals", |o| {
+            o.field("crash_points", points)
+                .field("phantom_receipts", 0u64)
+                .field("lost_acked_txs", 0u64)
+                .field("recovery_idempotent", true);
+        });
+        o.field("oracle_clean", true);
+    });
     std::fs::write(&out, json).expect("write benchmark report");
 
     for c in &cells {
@@ -102,95 +142,4 @@ fn main() {
         );
     }
     eprintln!("service_chaos: wrote {out}");
-}
-
-#[allow(clippy::too_many_arguments)]
-fn render_json(
-    scale: Scale,
-    host_cores: usize,
-    every_k: u64,
-    cells: &[ChaosCell],
-    degradation: &[DegradationCell],
-    backpressure: &BackpressureReport,
-) -> String {
-    let wcfg = chaos_stream_config(scale);
-    let points: u64 = cells.iter().map(|c| c.points).sum();
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"scale\": \"{scale:?}\",");
-    let _ = writeln!(s, "  \"host_cores\": {host_cores},");
-    let _ = writeln!(s, "  \"git_rev\": \"{}\",", ptm_bench::meta::git_rev());
-    let _ = writeln!(s, "  \"rustc\": \"{}\",", ptm_bench::meta::rustc_version());
-    let _ = writeln!(s, "  \"accounts\": {},", wcfg.accounts);
-    let _ = writeln!(s, "  \"txs_per_stream\": {},", wcfg.txs);
-    let _ = writeln!(s, "  \"shards\": {SHARDS},");
-    let _ = writeln!(s, "  \"max_batch\": {MAX_BATCH},");
-    let _ = writeln!(s, "  \"crash_stride\": {every_k},");
-    let _ = writeln!(s, "  \"force_policy\": \"mixed\",");
-    let _ = writeln!(s, "  \"crash_cells\": [");
-    for (i, c) in cells.iter().enumerate() {
-        let comma = if i + 1 == cells.len() { "" } else { "," };
-        let _ = writeln!(
-            s,
-            "    {{\"policy\": \"{}\", \"fault_seed\": {}, \"points\": {}, \
-             \"txs\": {}, \"blocks\": {}, \"min_recovered\": {}, \
-             \"reexecuted\": {}, \"tail_txs\": {}, \"append_retries\": {}, \
-             \"forces\": {}, \"clean_cycles\": {}, \"wall_ns\": {}}}{comma}",
-            c.policy,
-            c.fault_seed,
-            c.points,
-            c.txs,
-            c.blocks,
-            c.min_recovered,
-            c.reexecuted,
-            c.tail_txs,
-            c.append_retries,
-            c.forces,
-            c.clean_cycles,
-            c.wall_ns,
-        );
-    }
-    let _ = writeln!(s, "  ],");
-    let _ = writeln!(s, "  \"degradation_cells\": [");
-    for (i, d) in degradation.iter().enumerate() {
-        let comma = if i + 1 == degradation.len() { "" } else { "," };
-        let _ = writeln!(
-            s,
-            "    {{\"chaos_seed\": {}, \"blocks\": {}, \"txs\": {}, \
-             \"retries\": {}, \"stalls\": {}, \"escalations\": {}, \
-             \"degraded_blocks\": {}, \"wall_ns\": {}}}{comma}",
-            d.chaos_seed,
-            d.blocks,
-            d.txs,
-            d.retries,
-            d.stalls,
-            d.escalations,
-            d.degraded_blocks,
-            d.wall_ns,
-        );
-    }
-    let _ = writeln!(s, "  ],");
-    let _ = writeln!(s, "  \"backpressure\": {{");
-    let _ = writeln!(s, "    \"queue_depth\": {},", backpressure.queue_depth);
-    let _ = writeln!(s, "    \"bursts\": {},", backpressure.bursts);
-    let _ = writeln!(s, "    \"offered\": {},", backpressure.offered);
-    let _ = writeln!(s, "    \"admitted\": {},", backpressure.admitted);
-    let _ = writeln!(s, "    \"shed\": {},", backpressure.shed);
-    let _ = writeln!(
-        s,
-        "    \"max_retry_after_ms\": {}",
-        backpressure.max_retry_after_ms
-    );
-    let _ = writeln!(s, "  }},");
-    let _ = writeln!(s, "  \"totals\": {{");
-    let _ = writeln!(s, "    \"crash_points\": {points},");
-    let _ = writeln!(
-        s,
-        "    \"phantom_receipts\": 0,\n    \"lost_acked_txs\": 0,\n    \
-         \"recovery_idempotent\": true"
-    );
-    let _ = writeln!(s, "  }},");
-    let _ = writeln!(s, "  \"oracle_clean\": true");
-    s.push_str("}\n");
-    s
 }

@@ -5,10 +5,8 @@
 use ptm_sim::{run, serialize_programs, speedup_percent, SystemKind};
 use ptm_workloads::{Scale, Workload};
 
-pub mod cells;
-pub mod crash;
-pub mod durable;
-pub mod faults;
+pub mod adversity;
+pub mod json;
 pub mod meta;
 pub mod service;
 pub mod service_chaos;
@@ -107,32 +105,53 @@ pub fn speedup_bars(workload: &Workload, systems: &[SystemKind]) -> (u64, Vec<Sp
     (serial_cycles, bars)
 }
 
-/// Parses a scale name, case-insensitively. Unknown names are an error
-/// naming the valid options — a typo must not silently downgrade a `full`
-/// run to `small`.
+/// Reads the environment variable `name` through `parse`; `None` when it
+/// is unset. Every option of every bench binary enters here.
+///
+/// # Panics
+///
+/// Panics, naming the variable and its value, when the value does not
+/// parse: a typo must not silently run a different sweep than asked for.
+pub fn option<T>(name: &str, parse: impl FnOnce(&str) -> Result<T, String>) -> Option<T> {
+    match std::env::var(name) {
+        Ok(v) => Some(parse(&v).unwrap_or_else(|e| panic!("{name}: {e}"))),
+        Err(std::env::VarError::NotPresent) => None,
+        Err(std::env::VarError::NotUnicode(v)) => panic!("{name}: {v:?} is not UTF-8"),
+    }
+}
+
+/// Parses a scale name, case-insensitively.
 pub fn parse_scale(name: &str) -> Result<Scale, String> {
     match name.to_ascii_lowercase().as_str() {
         "tiny" => Ok(Scale::Tiny),
         "small" => Ok(Scale::Small),
         "full" => Ok(Scale::Full),
-        other => Err(format!(
-            "unknown PTM_SCALE value {other:?}: expected one of tiny, small, full"
+        _ => Err(format!(
+            "unknown value {name:?}: expected one of tiny, small, full"
         )),
     }
 }
 
-/// The benchmark scale used by the regeneration binaries; override with the
-/// `PTM_SCALE` environment variable (`tiny`, `small`, `full`, any case).
-/// Defaults to `small` when unset.
-///
-/// # Panics
-///
-/// Panics on an unrecognized `PTM_SCALE` value.
+/// Parses a `u64`, decimal or `0x`-hex in either case.
+pub fn parse_u64(value: &str) -> Result<u64, String> {
+    let lower = value.to_ascii_lowercase();
+    let parsed = match lower.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => lower.parse(),
+    };
+    parsed.map_err(|_| format!("invalid value {value:?}: expected a decimal or 0x-hex u64"))
+}
+
+/// The benchmark scale used by the regeneration binaries: `PTM_SCALE`
+/// (`tiny`, `small`, `full`, any case), `small` when unset.
 pub fn scale_from_env() -> Scale {
-    match std::env::var("PTM_SCALE") {
-        Ok(v) => parse_scale(&v).unwrap_or_else(|e| panic!("{e}")),
-        Err(_) => Scale::Small,
-    }
+    option("PTM_SCALE", parse_scale).unwrap_or(Scale::Small)
+}
+
+/// Where a sweep binary writes its report: `PTM_BENCH_OUT`, or `default`
+/// in the working directory.
+pub fn out_path(default: &str) -> String {
+    option("PTM_BENCH_OUT", |v| Ok(v.to_string())).unwrap_or_else(|| default.to_string())
 }
 
 /// Arithmetic mean, matching the "Average" bar of the paper's figures.
@@ -166,6 +185,17 @@ mod tests {
         let err = parse_scale("ful").unwrap_err();
         assert!(err.contains("ful"), "{err}");
         assert!(err.contains("tiny, small, full"), "{err}");
+    }
+
+    #[test]
+    fn parse_u64_takes_decimal_and_hex_and_names_bad_values() {
+        assert_eq!(parse_u64("42"), Ok(42));
+        assert_eq!(parse_u64("0x2a"), Ok(42));
+        assert_eq!(parse_u64("0X2A"), Ok(42));
+        for bad in ["abc", "-1", "", "0x"] {
+            let err = parse_u64(bad).unwrap_err();
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+        }
     }
 
     #[test]

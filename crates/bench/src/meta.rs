@@ -4,6 +4,7 @@
 //! numbers, so a change surfaced later can be traced to the build that
 //! introduced it.
 
+use crate::json::Obj;
 use std::process::Command;
 
 /// The `rustc --version` string the benchmark binary was compiled with
@@ -44,15 +45,11 @@ pub fn host_cores() -> usize {
         .unwrap_or(1)
 }
 
-/// The common provenance keys, rendered as JSON lines for the top of a
-/// report object (two-space indent, trailing comma on every line).
-pub fn json_fields() -> String {
-    format!(
-        "  \"git_rev\": \"{}\",\n  \"rustc\": \"{}\",\n  \"host_cores\": {},\n",
-        git_rev(),
-        rustc_version(),
-        host_cores(),
-    )
+/// Writes the common provenance keys into a report object.
+pub fn provenance(o: &mut Obj) {
+    o.field("git_rev", git_rev())
+        .field("rustc", rustc_version())
+        .field("host_cores", host_cores());
 }
 
 #[cfg(test)]
@@ -60,21 +57,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn rustc_version_is_baked_in() {
-        assert!(rustc_version().starts_with("rustc"), "{}", rustc_version());
-    }
-
-    #[test]
-    fn json_fields_are_well_formed() {
-        let f = json_fields();
+    fn provenance_writes_every_key_and_the_baked_in_rustc() {
+        let f = crate::json::object(provenance);
         assert!(f.contains("\"git_rev\": \""));
         assert!(f.contains("\"rustc\": \"rustc"));
         assert!(f.contains("\"host_cores\": "));
-        // Must parse when wrapped in an object with a terminal key.
-        let obj = format!("{{\n{f}  \"ok\": true\n}}");
-        assert!(
-            obj.matches('"').count() % 2 == 0,
-            "unbalanced quotes: {obj}"
-        );
     }
 }

@@ -18,6 +18,7 @@
 //!    bounded queue; overload must shed with `Busy { retry_after }`
 //!    instead of growing the queue without bound.
 
+use crate::adversity::{FORCE_POLICIES, LOG_FAULT_SEEDS};
 use crate::service::ReferenceLedger;
 use ptm_core::durability::ForcePolicy;
 use ptm_mem::logdev::{LogDevConfig, LogFaultPlan};
@@ -31,17 +32,8 @@ use ptm_workloads::{
 };
 use std::time::Instant;
 
-/// Force policies of the crash sweep, with their report labels.
-pub const POLICIES: [(ForcePolicy, &str); 3] = [
-    (ForcePolicy::Eager, "eager"),
-    (ForcePolicy::Group(4), "group4"),
-    (ForcePolicy::Lazy, "lazy"),
-];
-
-/// Log-device fault-seed classes: 0 is the fault-free device; 6, 1, 2
-/// and 7 emphasize transient errors, stalls, reordered completions and
-/// torn appends respectively (the same classes the durable sweep uses).
-pub const FAULT_SEEDS: [u64; 5] = [0, 6, 1, 2, 7];
+/// Pipeline steps between the crash sweep's crash points.
+pub const CRASH_STRIDE: u64 = 12;
 
 /// Shards of every chaos cell.
 pub const SHARDS: usize = 2;
@@ -204,8 +196,8 @@ pub fn oracle_check(
 /// One (force policy × fault seed) cell of the crash sweep.
 #[derive(Debug, Clone)]
 pub struct ChaosCell {
-    /// Force-policy label.
-    pub policy: &'static str,
+    /// Force policy of the journal.
+    pub policy: ForcePolicy,
     /// Log-device fault seed class.
     pub fault_seed: u64,
     /// Crash points exercised (each oracle-checked).
@@ -235,15 +227,15 @@ pub struct ChaosCell {
 pub fn run_crash_cell(
     scale: Scale,
     policy: ForcePolicy,
-    label: &'static str,
     fault_seed: u64,
     every_k: u64,
 ) -> ChaosCell {
+    assert!(every_k > 0, "a zero stride never reaches the clean run");
     let t0 = Instant::now();
     let cfg = cell_config(scale, policy, fault_seed);
     let stream = generate(&chaos_stream_config(scale));
     let mut cell = ChaosCell {
-        policy: label,
+        policy,
         fault_seed,
         points: 0,
         txs: stream.len(),
@@ -289,13 +281,14 @@ pub fn run_crash_cell(
     cell
 }
 
-/// The full crash sweep: every force policy × fault-seed class.
-pub fn run_crash_sweep(scale: Scale, every_k: u64) -> Vec<ChaosCell> {
+/// The full crash sweep at [`CRASH_STRIDE`]: every force policy ×
+/// log-fault seed class.
+pub fn run_crash_sweep(scale: Scale) -> Vec<ChaosCell> {
     let mut cells = Vec::new();
-    for (policy, label) in POLICIES {
-        for &seed in &FAULT_SEEDS {
-            eprintln!("service_chaos: crash sweep {label} x fault seed {seed}...");
-            cells.push(run_crash_cell(scale, policy, label, seed, every_k));
+    for policy in FORCE_POLICIES {
+        for seed in LOG_FAULT_SEEDS {
+            eprintln!("service_chaos: crash sweep {policy} x fault seed {seed}...");
+            cells.push(run_crash_cell(scale, policy, seed, CRASH_STRIDE));
         }
     }
     cells
@@ -460,7 +453,7 @@ mod tests {
 
     #[test]
     fn tiny_crash_cell_is_oracle_clean_at_a_coarse_stride() {
-        let cell = run_crash_cell(Scale::Tiny, ForcePolicy::Group(4), "group4", 6, 23);
+        let cell = run_crash_cell(Scale::Tiny, ForcePolicy::Group(4), 6, 23);
         assert!(cell.points > 0);
         assert_eq!(cell.txs, chaos_stream_config(Scale::Tiny).txs);
         assert!(cell.blocks > 0);

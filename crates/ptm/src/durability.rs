@@ -100,31 +100,6 @@ impl std::fmt::Display for ForcePolicy {
     }
 }
 
-/// Parses a force-policy name, case-insensitively: `eager`, `lazy`,
-/// `group` (N = 4) or `group:N`. Unknown names are a hard error naming the
-/// offending value — a typo must not silently change the durability
-/// contract under test.
-pub fn parse_force_policy(name: &str) -> Result<ForcePolicy, String> {
-    let lower = name.to_ascii_lowercase();
-    match lower.as_str() {
-        "eager" => return Ok(ForcePolicy::Eager),
-        "lazy" => return Ok(ForcePolicy::Lazy),
-        "group" => return Ok(ForcePolicy::Group(4)),
-        _ => {}
-    }
-    if let Some(n) = lower.strip_prefix("group:") {
-        return match n.parse::<u32>() {
-            Ok(n) if n >= 1 => Ok(ForcePolicy::Group(n)),
-            _ => Err(format!(
-                "invalid group-commit size {n:?} in PTM_FORCE_POLICY: want an integer >= 1"
-            )),
-        };
-    }
-    Err(format!(
-        "unknown force policy {name:?}: valid values are eager, lazy, group, group:N"
-    ))
-}
-
 /// What a log record describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LogRecordKind {
@@ -786,18 +761,6 @@ mod tests {
         assert!(scan.records.is_empty());
         assert_eq!(scan.checksum_mismatches, 1);
         assert_eq!(scan.records_discarded, 1);
-    }
-
-    #[test]
-    fn parse_force_policy_is_case_insensitive_and_hard_errors() {
-        assert_eq!(parse_force_policy("EAGER"), Ok(ForcePolicy::Eager));
-        assert_eq!(parse_force_policy("Lazy"), Ok(ForcePolicy::Lazy));
-        assert_eq!(parse_force_policy("group"), Ok(ForcePolicy::Group(4)));
-        assert_eq!(parse_force_policy("Group:9"), Ok(ForcePolicy::Group(9)));
-        let err = parse_force_policy("eagre").unwrap_err();
-        assert!(err.contains("eagre"), "error names the offender: {err}");
-        assert!(parse_force_policy("group:0").is_err());
-        assert!(parse_force_policy("group:x").is_err());
     }
 
     #[test]

@@ -50,8 +50,8 @@ pub mod vts;
 
 pub use config::{PtmConfig, PtmPolicy, ShadowFreePolicy};
 pub use durability::{
-    parse_force_policy, scan_records, undo_payload_checksum, DurStats, DurabilityConfig,
-    DurableLog, ForcePolicy, LogRecord, LogRecordKind, UndoPayload,
+    scan_records, undo_payload_checksum, DurStats, DurabilityConfig, DurableLog, ForcePolicy,
+    LogRecord, LogRecordKind, UndoPayload,
 };
 pub use recovery::{recover, recover_log, tear_youngest_tav_tail, RecoveryStats};
 pub use stats::PtmStats;

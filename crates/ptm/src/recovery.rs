@@ -142,6 +142,31 @@ impl RecoveryStats {
     }
 }
 
+/// Field-wise sums, for sweeps that total many recovery passes.
+impl std::ops::AddAssign for RecoveryStats {
+    fn add_assign(&mut self, rhs: Self) {
+        self.transactions_discarded += rhs.transactions_discarded;
+        self.blocks_restored += rhs.blocks_restored;
+        self.torn_nodes_repaired += rhs.torn_nodes_repaired;
+        self.shadow_pages_freed += rhs.shadow_pages_freed;
+        self.tav_nodes_freed += rhs.tav_nodes_freed;
+        self.log_records_discarded += rhs.log_records_discarded;
+        self.log_checksum_mismatches += rhs.log_checksum_mismatches;
+        self.log_bytes_truncated += rhs.log_bytes_truncated;
+        self.log_replay_mismatches += rhs.log_replay_mismatches;
+        self.log_phantom_commits += rhs.log_phantom_commits;
+        self.log_commit_records += rhs.log_commit_records;
+        self.log_abort_records += rhs.log_abort_records;
+        self.log_undo_records += rhs.log_undo_records;
+        self.log_redo_records += rhs.log_redo_records;
+        self.log_word_undo_records += rhs.log_word_undo_records;
+        self.log_commits_missing += rhs.log_commits_missing;
+        self.log_replay_verified += rhs.log_replay_verified;
+        self.log_undo_stale += rhs.log_undo_stale;
+        self.log_foreign_records += rhs.log_foreign_records;
+    }
+}
+
 /// Scans a crashed log-device image for valid records, discards the torn
 /// tail (bounded single pass — see [`crate::durability::scan_records`]) and
 /// truncates the image to its valid prefix so a second recovery finds a
