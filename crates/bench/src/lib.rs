@@ -9,7 +9,6 @@ pub mod adversity;
 pub mod json;
 pub mod meta;
 pub mod service;
-pub mod service_chaos;
 
 /// One Table 1 row, as measured by a run under Select-PTM.
 #[derive(Debug, Clone)]

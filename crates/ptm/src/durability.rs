@@ -39,8 +39,9 @@
 //! counted, not trusted (see `ISSUE` satellite on bounded tail scans).
 //!
 //! Device refusals are absorbed here so callers never see them:
-//! [`DurableLog`] retries transient errors with exponential backoff and
-//! waits out stall windows, charging the cycles to the caller's commit.
+//! [`append_retrying`], the one loop [`DurableLog`] and the service
+//! journal share, retries transient errors with exponential backoff and
+//! waits out stall windows, charging the cycles to the caller.
 //! Both loops are bounded by device construction
 //! ([`ptm_mem::logdev::MAX_CONSECUTIVE_TRANSIENTS`], one stall window per
 //! record), proven by the `max_append_attempts` counter staying at or below
@@ -84,6 +85,16 @@ pub enum ForcePolicy {
 }
 
 impl ForcePolicy {
+    /// Whether the writing commit that brings the count of commits since
+    /// the last force to `commits_since_force` forces.
+    pub fn forces(self, commits_since_force: u32) -> bool {
+        match self {
+            ForcePolicy::Eager => true,
+            ForcePolicy::Lazy => false,
+            ForcePolicy::Group(n) => commits_since_force >= n,
+        }
+    }
+
     /// The canonical report label (`eager`, `lazy`, `group4`, …).
     pub fn label(&self) -> String {
         match self {
@@ -591,12 +602,7 @@ impl DurableLog {
         self.stats.commit_records += 1;
         let mut lat = self.append_retrying(&rec, now);
         self.commits_since_force += 1;
-        let force = match self.policy {
-            ForcePolicy::Eager => true,
-            ForcePolicy::Lazy => false,
-            ForcePolicy::Group(n) => self.commits_since_force >= n,
-        };
-        if force {
+        if self.policy.forces(self.commits_since_force) {
             self.commits_since_force = 0;
             self.stats.policy_forces += 1;
             lat += self.dev.force(now + lat);
@@ -647,37 +653,69 @@ impl DurableLog {
         &self.undo_sums
     }
 
-    /// Appends one framed record, absorbing transient errors (exponential
-    /// backoff) and stall windows (wait out the deadline). Returns the
-    /// cycles the append cost. Bounded: panics past [`MAX_LOG_RETRIES`]
-    /// attempts, which the device's fault bounds make unreachable.
+    /// Appends one framed record through [`append_retrying`], adding the
+    /// retry counters to the log's stats. Returns the cycles the append
+    /// cost.
     fn append_retrying(&mut self, record: &[u8], now: Cycle) -> Cycle {
-        let mut lat: Cycle = 0;
-        let mut attempts: u32 = 0;
-        loop {
-            attempts += 1;
-            assert!(
-                attempts <= MAX_LOG_RETRIES,
-                "log append did not settle within {MAX_LOG_RETRIES} attempts — the device's \
-                 transient/stall bounds guarantee this cannot happen"
-            );
-            match self.dev.append(record, now + lat) {
-                Ok(wait) => {
-                    self.stats.max_append_attempts = self.stats.max_append_attempts.max(attempts);
-                    return lat + wait;
-                }
-                Err(LogAppendError::Transient) => {
-                    let backoff = BACKOFF_BASE << (attempts - 1).min(6);
-                    self.stats.log_retries += 1;
-                    self.stats.backoff_cycles += backoff;
-                    lat += backoff;
-                }
-                Err(LogAppendError::Stalled { until }) => {
-                    let wait = until.saturating_sub(now + lat).max(1);
-                    self.stats.throttle_events += 1;
-                    self.stats.throttle_cycles += wait;
-                    lat += wait;
-                }
+        let a = append_retrying(&mut self.dev, record, now);
+        self.stats.log_retries += a.retries;
+        self.stats.backoff_cycles += a.backoff_cycles;
+        self.stats.throttle_events += a.throttle_events;
+        self.stats.throttle_cycles += a.throttle_cycles;
+        self.stats.max_append_attempts = self.stats.max_append_attempts.max(a.attempts);
+        a.cycles
+    }
+}
+
+/// What one settled append cost: the retry counters each caller adds
+/// into its own stats, and the cycles from the first attempt to the
+/// device's acceptance.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AppendOutcome {
+    /// Cycles spent: backoff, stall waits and the accepting append's wait.
+    pub cycles: Cycle,
+    /// Attempts, the accepting one included.
+    pub attempts: u32,
+    /// Transient-error retries.
+    pub retries: u64,
+    /// Cycles of exponential backoff after transient errors.
+    pub backoff_cycles: u64,
+    /// Stall windows waited out.
+    pub throttle_events: u64,
+    /// Cycles waited on stall windows.
+    pub throttle_cycles: u64,
+}
+
+/// Appends one framed record at cycle `now`, absorbing transient errors
+/// (exponential backoff) and stall windows (wait out the deadline). The
+/// one bounded retry loop of both the machine log and the service
+/// journal: panics past [`MAX_LOG_RETRIES`] attempts, which the device's
+/// fault bounds make unreachable.
+pub fn append_retrying(dev: &mut LogDevice, record: &[u8], now: Cycle) -> AppendOutcome {
+    let mut a = AppendOutcome::default();
+    loop {
+        a.attempts += 1;
+        assert!(
+            a.attempts <= MAX_LOG_RETRIES,
+            "log append did not settle within {MAX_LOG_RETRIES} attempts — the device's \
+             transient/stall bounds guarantee this cannot happen"
+        );
+        match dev.append(record, now + a.cycles) {
+            Ok(wait) => {
+                a.cycles += wait;
+                return a;
+            }
+            Err(LogAppendError::Transient) => {
+                let backoff = BACKOFF_BASE << (a.attempts - 1).min(6);
+                a.retries += 1;
+                a.backoff_cycles += backoff;
+                a.cycles += backoff;
+            }
+            Err(LogAppendError::Stalled { until }) => {
+                let wait = until.saturating_sub(now + a.cycles).max(1);
+                a.throttle_events += 1;
+                a.throttle_cycles += wait;
+                a.cycles += wait;
             }
         }
     }

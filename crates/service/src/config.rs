@@ -15,16 +15,6 @@ pub enum Strategy {
     ValidateOnly,
 }
 
-impl Strategy {
-    /// Stable label for stats and bench output.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Strategy::Sequential => "sequential",
-            Strategy::ValidateOnly => "validate-only",
-        }
-    }
-}
-
 /// Ingest-journal configuration: the force policy plus the log device the
 /// journal writes through. `None` on [`ServiceConfig::journal`] keeps the
 /// pre-journal volatile frontend (acks mean nothing across a crash).

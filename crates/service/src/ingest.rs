@@ -59,7 +59,7 @@ pub struct ServiceReport {
     /// Read-only probes answered on the fast path.
     pub read_only_hits: u64,
     /// Simulated cycles of the slowest shard, summed over blocks — the
-    /// work metric the service-chaos trajectory gates on.
+    /// service's simulated work metric.
     pub shard_cycles: u64,
     /// Final non-zero balances, sorted by account.
     pub balances: Vec<(u64, u32)>,

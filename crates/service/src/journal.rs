@@ -31,18 +31,19 @@
 //! with the tail. Under `Lazy` nothing is ever durably acked, which is
 //! the policy's documented trade.
 //!
-//! Device refusals are absorbed here the way [`DurableLog`] absorbs them:
-//! transient errors retry under exponential backoff, stall windows are
-//! waited out, both on the journal's logical cycle clock, bounded by
-//! [`MAX_LOG_RETRIES`].
+//! Device refusals are absorbed by the loop [`DurableLog`] uses too,
+//! [`append_retrying`]: transient errors retry under exponential backoff,
+//! stall windows are waited out, both on the journal's logical cycle
+//! clock, bounded by [`MAX_LOG_RETRIES`].
 //!
 //! [`DurableLog`]: ptm_core::durability::DurableLog
+//! [`MAX_LOG_RETRIES`]: ptm_core::durability::MAX_LOG_RETRIES
 
 use crate::config::JournalConfig;
 use ptm_core::durability::{
-    encode_record, scan_records, ForcePolicy, LogRecordKind, MAX_LOG_RETRIES,
+    append_retrying, encode_record, scan_records, ForcePolicy, LogRecordKind,
 };
-use ptm_mem::logdev::{LogAppendError, LogDevStats, LogDevice, LogImage};
+use ptm_mem::logdev::{LogDevStats, LogDevice, LogImage};
 use ptm_types::{Cycle, TxId};
 use ptm_workloads::ClientTx;
 
@@ -51,9 +52,6 @@ type AccountDelta = (u64, u32);
 
 /// A decoded commit chunk: `(chunk index, chunk count, deltas)`.
 type CommitChunk = (u16, u16, Vec<AccountDelta>);
-
-/// Base cycles of the exponential backoff after a transient append error.
-const BACKOFF_BASE: Cycle = 32;
 
 /// Net ledger deltas per commit-record chunk. One frame's payload holds
 /// up to `(u16::MAX - 8) / 12 = 5460`; staying well under keeps frames
@@ -82,7 +80,7 @@ pub struct JournalStats {
     /// Cycles spent throttled on device stalls.
     pub throttle_cycles: u64,
     /// Worst attempts needed for one append — the bounded-retry proof:
-    /// never exceeds [`MAX_LOG_RETRIES`].
+    /// never exceeds [`ptm_core::durability::MAX_LOG_RETRIES`].
     pub max_append_attempts: u32,
 }
 
@@ -197,12 +195,7 @@ impl Journal {
             self.append_retrying(&rec);
         }
         self.commits_since_force += 1;
-        let force = match self.policy {
-            ForcePolicy::Eager => true,
-            ForcePolicy::Lazy => false,
-            ForcePolicy::Group(n) => self.commits_since_force >= n,
-        };
-        if force {
+        if self.policy.forces(self.commits_since_force) {
             self.force();
         }
     }
@@ -235,40 +228,17 @@ impl Journal {
         self.dev.crash_image(self.now)
     }
 
-    /// Appends one framed record, absorbing transient errors (exponential
-    /// backoff) and stall windows (wait out the deadline) on the logical
-    /// clock. Bounded: panics past [`MAX_LOG_RETRIES`] attempts, which the
-    /// device's fault bounds make unreachable.
+    /// Appends one framed record through [`append_retrying`] on the
+    /// logical clock, adding the retry counters to the journal's stats.
     fn append_retrying(&mut self, record: &[u8]) {
-        let mut attempts: u32 = 0;
-        loop {
-            attempts += 1;
-            assert!(
-                attempts <= MAX_LOG_RETRIES,
-                "journal append did not settle within {MAX_LOG_RETRIES} attempts — the \
-                 device's transient/stall bounds guarantee this cannot happen"
-            );
-            match self.dev.append(record, self.now) {
-                Ok(wait) => {
-                    self.now += wait + 1;
-                    self.records += 1;
-                    self.stats.max_append_attempts = self.stats.max_append_attempts.max(attempts);
-                    return;
-                }
-                Err(LogAppendError::Transient) => {
-                    let backoff = BACKOFF_BASE << (attempts - 1).min(6);
-                    self.stats.retries += 1;
-                    self.stats.backoff_cycles += backoff;
-                    self.now += backoff;
-                }
-                Err(LogAppendError::Stalled { until }) => {
-                    let wait = until.saturating_sub(self.now).max(1);
-                    self.stats.throttle_events += 1;
-                    self.stats.throttle_cycles += wait;
-                    self.now += wait;
-                }
-            }
-        }
+        let a = append_retrying(&mut self.dev, record, self.now);
+        self.now += a.cycles + 1;
+        self.records += 1;
+        self.stats.retries += a.retries;
+        self.stats.backoff_cycles += a.backoff_cycles;
+        self.stats.throttle_events += a.throttle_events;
+        self.stats.throttle_cycles += a.throttle_cycles;
+        self.stats.max_append_attempts = self.stats.max_append_attempts.max(a.attempts);
     }
 }
 
@@ -487,6 +457,7 @@ pub fn replay(bytes: &[u8]) -> JournalReplay {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ptm_core::durability::MAX_LOG_RETRIES;
     use ptm_mem::logdev::LogFaultPlan;
 
     fn tx(id: u64) -> ClientTx {

@@ -30,8 +30,8 @@
 //!
 //! [`run_block`] is a pure function of `(config, block, balances)` up to
 //! wall-clock stats. Its ledger deltas and read-only balances are checked
-//! against a plain reference fold of the committed transfers, both in
-//! `tests/reference_ledger.rs` and on every cell of the service bench.
+//! against a plain reference fold of the committed transfers on every
+//! block of every cell of the service bench.
 //!
 //! # Fault tolerance
 //!

@@ -107,7 +107,8 @@ pub fn generate(cfg: &ServiceWorkloadConfig) -> Vec<ClientTx> {
 }
 
 /// Burst shaping for [`generate_bursts`]: the overload generator the
-/// service-chaos bench floods the bounded submit queue with.
+/// service sweep's backpressure drill floods the bounded submit queue
+/// with.
 #[derive(Debug, Clone, Copy)]
 pub struct BurstConfig {
     /// Mean burst length in transactions; actual lengths are drawn
