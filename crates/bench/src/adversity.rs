@@ -519,9 +519,8 @@ fn crash_points(cell: &Cell, crash: CrashSpec, plan: &FaultPlan, total: u64) -> 
 impl CellReport {
     /// The counters as `(key, value)` in report order: the probe's, then
     /// the crash points' when the cell crashes, then the log device's when
-    /// it has one. Slice totals add them up (`worst_*` and `max_*` keys
-    /// take the maximum).
-    fn counters(&self) -> Vec<(&'static str, u64)> {
+    /// it has one.
+    fn counters(&self) -> Vec<crate::Counter> {
         let (p, s, rec) = (&self.ptm, &self.crash, &self.crash.recovery);
         let mut c = vec![
             ("total_steps", self.total_steps),
@@ -672,11 +671,7 @@ pub fn check(reports: &[CellReport]) {
     // The rest are claims about the slice totals the report carries.
     let total = |slice: &str, keys: &[&str]| -> u64 {
         let totals = slice_totals(reports, slice);
-        totals
-            .iter()
-            .filter(|(k, _)| keys.contains(k))
-            .map(|t| t.1)
-            .sum()
+        keys.iter().map(|key| crate::total(&totals, key)).sum()
     };
     assert!(
         total("crash", &["transactions_discarded"]) > 0,
@@ -720,22 +715,10 @@ pub fn check(reports: &[CellReport]) {
     );
 }
 
-/// The per-slice sums of the counters every report carries, with a cell
-/// count (`worst_*` and `max_*` keys take the maximum).
-pub fn slice_totals(reports: &[CellReport], slice: &str) -> Vec<(&'static str, u64)> {
-    let mut totals = vec![("cells", 0)];
-    for r in reports.iter().filter(|r| r.cell.slice == slice) {
-        totals[0].1 += 1;
-        for (key, v) in r.counters() {
-            let worst = key.starts_with("worst_") || key.starts_with("max_");
-            match totals.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, t)) if worst => *t = (*t).max(v),
-                Some((_, t)) => *t += v,
-                None => totals.push((key, v)),
-            }
-        }
-    }
-    totals
+/// One slice's counters, folded into totals by `fold_totals`.
+pub fn slice_totals(reports: &[CellReport], slice: &str) -> Vec<crate::Counter> {
+    let cells = reports.iter().filter(|r| r.cell.slice == slice);
+    crate::fold_totals(cells.map(CellReport::counters))
 }
 
 /// Renders the `BENCH_adversity.json` report.
@@ -760,15 +743,7 @@ pub fn render(scale: Scale, fault_seed: u64, reports: &[CellReport]) -> String {
                 a.obj(|c| r.write(c));
             }
         });
-        o.obj("totals", |t| {
-            for slice in SLICES {
-                t.obj(slice, |o| {
-                    for (key, v) in slice_totals(reports, slice) {
-                        o.field(key, v);
-                    }
-                });
-            }
-        });
+        crate::write_totals(o, &SLICES, |slice| slice_totals(reports, slice));
     })
 }
 

@@ -14,7 +14,7 @@
 use ptm_bench::adversity::{
     check, default_grid, render, run_cell, slice_totals, DEFAULT_FAULT_SEED, SLICES,
 };
-use ptm_bench::{option, out_path, parse_u64, scale_from_env};
+use ptm_bench::{option, out_path, parse_u64, scale_from_env, total};
 
 fn main() {
     let scale = scale_from_env();
@@ -39,7 +39,7 @@ fn main() {
 
     for slice in SLICES {
         let totals = slice_totals(&reports, slice);
-        let get = |key| totals.iter().find(|(k, _)| *k == key).map_or(0, |t| t.1);
+        let get = |key| total(&totals, key);
         eprintln!(
             "adversity: {slice} clean — {} cells, {} exhaustions, {} crash points ({} torn), \
              {} live transactions discarded and recovered",

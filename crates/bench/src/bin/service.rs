@@ -19,7 +19,7 @@
 use ptm_bench::service::{
     check, default_grid, render, run_backpressure, run_cell, slice_totals, SLICES,
 };
-use ptm_bench::{out_path, scale_from_env};
+use ptm_bench::{out_path, scale_from_env, total};
 use ptm_workloads::Scale;
 
 fn main() {
@@ -40,7 +40,7 @@ fn main() {
     }
     check(&reports);
     let totals: Vec<_> = SLICES.map(|slice| slice_totals(&reports, slice)).to_vec();
-    let get = |i: usize, key| totals[i].iter().find(|(k, _)| *k == key).map_or(0, |t| t.1);
+    let get = |i: usize, key| total(&totals[i], key);
     let points = get(1, "points");
     if scale != Scale::Tiny {
         assert!(

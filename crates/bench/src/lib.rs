@@ -153,6 +153,51 @@ pub fn out_path(default: &str) -> String {
     option("PTM_BENCH_OUT", |v| Ok(v.to_string())).unwrap_or_else(|| default.to_string())
 }
 
+/// A named report counter: `(key, value)`.
+pub type Counter = (&'static str, u64);
+
+/// Folds per-cell counters into one slice's totals, led by a `cells`
+/// count: `worst_*` and `max_*` keys take the maximum, `min_*` keys the
+/// minimum, every other key sums.
+pub(crate) fn fold_totals(cells: impl Iterator<Item = Vec<Counter>>) -> Vec<Counter> {
+    let mut totals = vec![("cells", 0)];
+    for counters in cells {
+        totals[0].1 += 1;
+        for (key, v) in counters {
+            let max = key.starts_with("worst_") || key.starts_with("max_");
+            match totals.iter_mut().find(|(k, _)| *k == key) {
+                Some((_, t)) if max => *t = (*t).max(v),
+                Some((_, t)) if key.starts_with("min_") => *t = (*t).min(v),
+                Some((_, t)) => *t += v,
+                None => totals.push((key, v)),
+            }
+        }
+    }
+    totals
+}
+
+/// One counter of folded totals, 0 when no cell carried it.
+pub fn total(totals: &[(&str, u64)], key: &str) -> u64 {
+    totals.iter().find(|(k, _)| *k == key).map_or(0, |t| t.1)
+}
+
+/// Writes a sweep report's `totals` object: one member per slice.
+pub(crate) fn write_totals(
+    o: &mut json::Obj,
+    slices: &[&str],
+    totals: impl Fn(&str) -> Vec<Counter>,
+) {
+    o.obj("totals", |t| {
+        for slice in slices {
+            t.obj(slice, |o| {
+                for (key, v) in totals(slice) {
+                    o.field(key, v);
+                }
+            });
+        }
+    });
+}
+
 /// Arithmetic mean, matching the "Average" bar of the paper's figures.
 pub fn average(values: &[f64]) -> f64 {
     if values.is_empty() {

@@ -497,9 +497,8 @@ pub fn run_cell(cell: &Cell) -> CellReport {
 impl CellReport {
     /// The counters as `(key, value)` in report order: the clean run's,
     /// then the journal's when the cell has one, the storms' when it has
-    /// them and the crash points' when it crashes. Slice totals add them
-    /// up (`min_*` keys take the minimum).
-    fn counters(&self) -> Vec<(&'static str, u64)> {
+    /// them and the crash points' when it crashes.
+    fn counters(&self) -> Vec<crate::Counter> {
         let (rep, s) = (&self.report, &self.crash);
         let mut c = vec![
             ("txs", rep.txs),
@@ -628,8 +627,7 @@ pub fn check_slice(reports: &[CellReport], slice: &str) {
     }
     let totals = slice_totals(reports, slice);
     for (_, key, what) in CLAIMS.iter().filter(|c| c.0 == slice) {
-        let total = totals.iter().find(|(k, _)| k == key).map_or(0, |t| t.1);
-        assert!(total > 0, "{slice} slice: {what}");
+        assert!(crate::total(&totals, key) > 0, "{slice} slice: {what}");
     }
 }
 
@@ -642,21 +640,10 @@ pub fn check(reports: &[CellReport]) {
     SLICES.iter().for_each(|slice| check_slice(reports, slice));
 }
 
-/// The per-slice sums of the counters every report carries, with a cell
-/// count (`min_*` keys take the minimum).
-pub fn slice_totals(reports: &[CellReport], slice: &str) -> Vec<(&'static str, u64)> {
-    let mut totals = vec![("cells", 0)];
-    for r in reports.iter().filter(|r| r.cell.slice == slice) {
-        totals[0].1 += 1;
-        for (key, v) in r.counters() {
-            match totals.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, t)) if key.starts_with("min_") => *t = (*t).min(v),
-                Some((_, t)) => *t += v,
-                None => totals.push((key, v)),
-            }
-        }
-    }
-    totals
+/// One slice's counters, folded into totals by `fold_totals`.
+pub fn slice_totals(reports: &[CellReport], slice: &str) -> Vec<crate::Counter> {
+    let cells = reports.iter().filter(|r| r.cell.slice == slice);
+    crate::fold_totals(cells.map(CellReport::counters))
 }
 
 /// The backpressure drill's outcome.
@@ -750,15 +737,7 @@ pub fn render(scale: Scale, reports: &[CellReport], bp: &BackpressureReport) -> 
                 .field("max_retry_after_ms", bp.max_retry_after_ms)
                 .field("wall_ns", bp.wall_ns);
         });
-        o.obj("totals", |t| {
-            for slice in SLICES {
-                t.obj(slice, |o| {
-                    for (key, v) in slice_totals(reports, slice) {
-                        o.field(key, v);
-                    }
-                });
-            }
-        });
+        crate::write_totals(o, &SLICES, |slice| slice_totals(reports, slice));
     })
 }
 

@@ -92,6 +92,21 @@ impl TxLineMeta {
             self.record_write(word);
         }
     }
+
+    /// Whether another party's access to `word` (a write when `is_write`)
+    /// conflicts with this transaction's recorded use of the block: a read
+    /// against a write, a write against either. In `word_mode` only this
+    /// transaction's uses of `word` itself count; otherwise any use of the
+    /// block does.
+    #[inline]
+    pub fn conflicts_with(&self, is_write: bool, word: WordIdx, word_mode: bool) -> bool {
+        match (is_write, word_mode) {
+            (false, false) => self.write,
+            (false, true) => self.write_words.get(word),
+            (true, false) => self.read || self.write,
+            (true, true) => self.read_words.get(word) || self.write_words.get(word),
+        }
+    }
 }
 
 /// A cache line: which block it caches, its MOESI state, and optional
@@ -261,6 +276,42 @@ mod tests {
         assert!(m.read_words.get(WordIdx(2)));
         assert!(m.write_words.get(WordIdx(5)));
         assert!(!m.write_words.get(WordIdx(2)));
+    }
+
+    #[test]
+    fn conflict_truth_table() {
+        let mut reader = TxLineMeta::new(TxId(1));
+        reader.record_access(WordIdx(2), false);
+        let mut writer = TxLineMeta::new(TxId(1));
+        writer.record_access(WordIdx(2), true);
+        let (own, disjoint) = (WordIdx(2), WordIdx(7));
+        // (line, requester writes, word mode, word, conflicts)
+        let table = [
+            (reader, false, false, own, false),
+            (reader, false, false, disjoint, false),
+            (reader, true, false, own, true),
+            (reader, true, false, disjoint, true),
+            (reader, false, true, own, false),
+            (reader, false, true, disjoint, false),
+            (reader, true, true, own, true),
+            (reader, true, true, disjoint, false),
+            (writer, false, false, own, true),
+            (writer, false, false, disjoint, true),
+            (writer, true, false, own, true),
+            (writer, true, false, disjoint, true),
+            (writer, false, true, own, true),
+            (writer, false, true, disjoint, false),
+            (writer, true, true, own, true),
+            (writer, true, true, disjoint, false),
+        ];
+        for (line, is_write, word_mode, word, want) in table {
+            assert_eq!(
+                line.conflicts_with(is_write, word, word_mode),
+                want,
+                "line write={} requester write={is_write} word_mode={word_mode} {word:?}",
+                line.write
+            );
+        }
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! The pluggable concurrency-control backend of the machine.
 
+use crate::kernel::Kernel;
 use crate::locks::LockTable;
 use crate::logtm::LogTmSystem;
 use ptm_core::{PtmConfig, PtmSystem};
-use ptm_types::Granularity;
+use ptm_mem::PhysicalMemory;
+use ptm_types::{FrameId, Granularity, PhysAddr, ProcessId, TxId, VirtAddr, WORD_SIZE};
 use ptm_vtm::{VtmConfig, VtmSystem};
 use std::fmt;
 
@@ -96,6 +98,32 @@ impl fmt::Display for SystemKind {
     }
 }
 
+/// What a conflicting request does. Every conflict the machine detects —
+/// in a remote cache, in a migrated local line or in the overflow
+/// structures — ends in one of these, applied in one place.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Resolution {
+    /// No conflict: proceed.
+    Proceed,
+    /// NACK: retry after a delay (LogTM; the owner is expected to finish).
+    Stall,
+    /// The requester loses: it aborts itself.
+    SelfAbort,
+    /// The owners lose: abort them and proceed.
+    AbortOwners(Vec<TxId>),
+}
+
+impl Resolution {
+    /// PTM's and VTM's rule: the oldest transaction wins (§4.4.3) and a
+    /// non-transactional requester always wins (§2.3.3).
+    pub(crate) fn oldest_wins(requester: Option<TxId>, owners: Vec<TxId>) -> Resolution {
+        match requester {
+            Some(me) if !owners.iter().all(|o| me.wins_against(*o)) => Resolution::SelfAbort,
+            _ => Resolution::AbortOwners(owners),
+        }
+    }
+}
+
 /// The backend instance owned by a machine.
 // One Backend exists per machine and it never moves after construction, so
 // the variant size spread costs nothing; boxing would only add indirection.
@@ -174,6 +202,56 @@ impl Backend {
             Backend::LogTm(l) => l.has_overflows(),
             _ => false,
         }
+    }
+
+    /// The one arbiter for a conflict between `requester` and the live
+    /// `owners`: LogTM's stall-preferring rule, otherwise oldest-wins.
+    pub(crate) fn arbitrate(&mut self, requester: Option<TxId>, owners: Vec<TxId>) -> Resolution {
+        match self {
+            Backend::LogTm(l) => l.arbitrate(requester, owners),
+            _ => Resolution::oldest_wins(requester, owners),
+        }
+    }
+
+    /// Reads the committed value of a word as the coherent, non-speculative
+    /// world would see it, from a live machine's or a crash image's
+    /// kernel and memory.
+    pub(crate) fn read_committed(
+        &self,
+        kernel: &Kernel,
+        mem: &PhysicalMemory,
+        pid: ProcessId,
+        va: VirtAddr,
+    ) -> u32 {
+        if let Some(frame) = kernel.frame_of(pid, va.vpn()) {
+            let pa = PhysAddr::from_frame(frame, va.page_offset());
+            return match self {
+                Backend::Ptm(p) => {
+                    let f = p.committed_frame(pa.block());
+                    mem.read_word(PhysAddr::from_frame(f, pa.page_offset()))
+                }
+                _ => mem.read_word(pa),
+            };
+        }
+        // Swapped-out pages are still part of the committed state: their
+        // home image lives in the swap store, and for PTM the SIT says
+        // whether a block's committed version was left in the shadow image
+        // instead (§3.5).
+        let Some(slot) = kernel.swap_slot_of(pid, va.vpn()) else {
+            return 0; // Never mapped: untouched memory reads as zero.
+        };
+        let img_slot = match self {
+            Backend::Ptm(p) => {
+                let idx = PhysAddr::from_frame(FrameId(0), va.page_offset())
+                    .block()
+                    .index();
+                p.committed_swap_slot(slot, idx)
+            }
+            _ => slot,
+        };
+        let img = kernel.swap.peek(img_slot);
+        let off = va.page_offset();
+        u32::from_le_bytes(img[off..off + WORD_SIZE].try_into().expect("word in page"))
     }
 }
 

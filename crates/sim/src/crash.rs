@@ -38,8 +38,7 @@ use ptm_core::recovery::{self, RecoveryStats};
 use ptm_mem::{LogImage, PhysicalMemory};
 use ptm_types::rng::{Fnv1a64, SplitMix64};
 use ptm_types::{
-    FastMap, FastSet, FrameId, Granularity, PhysAddr, ProcessId, ThreadId, TxId, VirtAddr,
-    BLOCK_SIZE, WORD_SIZE,
+    FastMap, FastSet, Granularity, ProcessId, ThreadId, TxId, VirtAddr, BLOCK_SIZE, WORD_SIZE,
 };
 use std::collections::{HashMap, HashSet};
 
@@ -367,32 +366,8 @@ impl CrashImage {
     /// Reads the committed value of a word from the image, the same way
     /// [`Machine::read_committed`] does on a live machine.
     pub fn read_committed(&self, pid: ProcessId, va: VirtAddr) -> u32 {
-        if let Some(frame) = self.kernel.frame_of(pid, va.vpn()) {
-            let pa = PhysAddr::from_frame(frame, va.page_offset());
-            return match &self.backend {
-                Backend::Ptm(p) => {
-                    let f = p.committed_frame(pa.block());
-                    self.mem
-                        .read_word(PhysAddr::from_frame(f, pa.page_offset()))
-                }
-                _ => self.mem.read_word(pa),
-            };
-        }
-        let Some(slot) = self.kernel.swap_slot_of(pid, va.vpn()) else {
-            return 0;
-        };
-        let img_slot = match &self.backend {
-            Backend::Ptm(p) => {
-                let idx = PhysAddr::from_frame(FrameId(0), va.page_offset())
-                    .block()
-                    .index();
-                p.committed_swap_slot(slot, idx)
-            }
-            _ => slot,
-        };
-        let img = self.kernel.swap.peek(img_slot);
-        let off = va.page_offset();
-        u32::from_le_bytes(img[off..off + WORD_SIZE].try_into().expect("word in page"))
+        self.backend
+            .read_committed(&self.kernel, &self.mem, pid, va)
     }
 
     /// Compares every word the committed-prefix oracle wrote against the

@@ -20,6 +20,7 @@
 //! state never to be paged out, and does not handle context-switch
 //! migration. The simulator enforces the same restriction.
 
+use crate::backend::Resolution;
 use ptm_cache::{SystemBus, TxLineMeta};
 use ptm_core::tstate::{TStateTable, TxStatus};
 use ptm_mem::PhysicalMemory;
@@ -117,23 +118,6 @@ pub struct LogTmStats {
     pub sticky_records: u64,
 }
 
-/// What a conflicting LogTM request should do.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Resolution {
-    /// No conflict: proceed.
-    Proceed,
-    /// NACK: retry after a delay (the owner is expected to finish).
-    Stall,
-    /// Possible cycle, requester is the youngest participant: abort itself.
-    SelfAbort,
-    /// Possible cycle, some owners are younger *and* stalled: abort them and
-    /// proceed. (The original protocol always aborts the requester; with
-    /// ordered commits in the mix, a gate-blocked younger owner can only be
-    /// released by the older requester committing, so the youngest
-    /// participant must be the one to go.)
-    AbortOwners(Vec<TxId>),
-}
-
 /// The LogTM system state.
 #[derive(Debug, Default, Clone)]
 pub struct LogTmSystem {
@@ -206,53 +190,47 @@ impl LogTmSystem {
 
     /// Conflict check against sticky state for a miss, with LogTM's
     /// stall-preferring resolution. `requester` is `None` for
-    /// non-transactional accesses (which always win: the transaction
-    /// aborts, as in §2.3.3).
+    /// non-transactional accesses, which always win: the owners abort, as
+    /// in §2.3.3.
     pub fn resolve(
         &mut self,
         requester: Option<TxId>,
         block: PhysBlock,
         is_write: bool,
-    ) -> (Resolution, Vec<TxId>) {
-        let Some(u) = self.sticky.get(block) else {
-            if let Some(tx) = requester {
-                self.stalling.insert(tx, false);
-            }
-            return (Resolution::Proceed, Vec::new());
-        };
+    ) -> Resolution {
         let mut owners: Vec<TxId> = Vec::new();
-        if let Some(w) = u.writer {
-            if Some(w) != requester && self.is_live(w) {
-                owners.push(w);
+        if let Some(u) = self.sticky.get(block) {
+            if let Some(w) = u.writer {
+                if Some(w) != requester && self.is_live(w) {
+                    owners.push(w);
+                }
             }
-        }
-        if is_write {
-            for r in &u.readers {
-                if Some(*r) != requester && self.is_live(*r) {
-                    owners.push(*r);
+            if is_write {
+                for r in &u.readers {
+                    if Some(*r) != requester && self.is_live(*r) {
+                        owners.push(*r);
+                    }
                 }
             }
         }
-        owners.sort();
-        owners.dedup();
         if owners.is_empty() {
             if let Some(tx) = requester {
                 self.stalling.insert(tx, false);
             }
-            return (Resolution::Proceed, Vec::new());
+            return Resolution::Proceed;
         }
-        let Some(me) = requester else {
-            // Non-transactional conflicts abort the transactions.
-            return (Resolution::SelfAbort, owners); // caller aborts owners instead
-        };
-        let res = self.cycle_break(me, &owners);
-        (res, owners)
+        owners.sort();
+        owners.dedup();
+        self.arbitrate(requester, owners)
     }
 
     fn cycle_break(&mut self, me: TxId, owners: &[TxId]) -> Resolution {
         // Possible-cycle heuristic: a stall edge from an older transaction
         // to a younger *stalled* owner can close a cycle; break it by
-        // aborting the youngest participants.
+        // aborting the youngest participants. (The original protocol always
+        // aborts the requester; with ordered commits in the mix, a
+        // gate-blocked younger owner can only be released by the older
+        // requester committing, so the youngest participant must go.)
         let stuck_younger: Vec<TxId> = owners
             .iter()
             .filter(|o| me.is_older_than(**o) && *self.stalling.get(o).unwrap_or(&false))
@@ -280,17 +258,14 @@ impl LogTmSystem {
         self.stalling.insert(tx, true);
     }
 
-    /// LogTM's resolution for an *in-cache* coherence conflict with the
-    /// given live owners: stall unless the possible-cycle heuristic demands
-    /// a self-abort. Non-transactional requesters always break through
-    /// (callers abort the owners).
-    pub fn arbitrate(&mut self, requester: Option<TxId>, owners: &[TxId]) -> Resolution {
-        let Some(me) = requester else {
-            // Non-transactional requesters break through; the caller aborts
-            // the owners.
-            return Resolution::AbortOwners(owners.to_vec());
-        };
-        self.cycle_break(me, owners)
+    /// LogTM's resolution for a conflict with the given live owners: stall
+    /// unless the possible-cycle heuristic demands an abort. Non-transactional
+    /// requesters always break through (the owners abort).
+    pub fn arbitrate(&mut self, requester: Option<TxId>, owners: Vec<TxId>) -> Resolution {
+        match requester {
+            Some(me) => self.cycle_break(me, &owners),
+            None => Resolution::AbortOwners(owners),
+        }
     }
 
     /// Commits: discard the log, release sticky state. LogTM's cheap path.
@@ -484,17 +459,44 @@ mod tests {
         assert!(sys.has_overflows());
 
         // Younger writer conflicts with the sticky writer: stall.
-        let (r, owners) = sys.resolve(Some(TxId(1)), block(0), true);
+        let r = sys.resolve(Some(TxId(1)), block(0), true);
         assert_eq!(r, Resolution::Stall);
-        assert_eq!(owners, vec![TxId(0)]);
 
         // Reads of a sticky WRITE also conflict.
-        let (r, _) = sys.resolve(Some(TxId(1)), block(0), false);
+        let r = sys.resolve(Some(TxId(1)), block(0), false);
         assert_eq!(r, Resolution::Stall);
 
         // The owner itself proceeds.
-        let (r, _) = sys.resolve(Some(TxId(0)), block(0), true);
+        let r = sys.resolve(Some(TxId(0)), block(0), true);
         assert_eq!(r, Resolution::Proceed);
+    }
+
+    #[test]
+    fn non_transactional_requester_aborts_the_owners() {
+        let mut sys = LogTmSystem::new();
+        sys.begin(TxId(0));
+        sys.begin(TxId(1));
+        let mut w = TxLineMeta::new(TxId(0));
+        w.record_write(WordIdx(0));
+        sys.on_tx_eviction(&w, block(0));
+        let mut r = TxLineMeta::new(TxId(1));
+        r.record_read(WordIdx(1));
+        sys.on_tx_eviction(&r, block(0));
+
+        // A plain read breaks through the sticky writer only (§2.3.3)...
+        let res = sys.resolve(None, block(0), false);
+        assert_eq!(res, Resolution::AbortOwners(vec![TxId(0)]));
+        // ...a plain write through every live owner, oldest first.
+        let res = sys.resolve(None, block(0), true);
+        assert_eq!(res, Resolution::AbortOwners(vec![TxId(0), TxId(1)]));
+        assert_eq!(
+            sys.stats().stalls,
+            0,
+            "non-transactional requests never stall"
+        );
+
+        // A block no live transaction holds lets it proceed.
+        assert_eq!(sys.resolve(None, block(1), true), Resolution::Proceed);
     }
 
     #[test]
@@ -510,13 +512,13 @@ mod tests {
         let mut meta0 = TxLineMeta::new(TxId(0));
         meta0.record_write(WordIdx(0));
         sys.on_tx_eviction(&meta0, block(1));
-        let (r, _) = sys.resolve(Some(TxId(1)), block(1), true);
+        let r = sys.resolve(Some(TxId(1)), block(1), true);
         assert_eq!(r, Resolution::Stall, "tx1 stalls on tx0");
 
         // Now tx0 requests tx1's block: cycle detected; the *youngest*
         // participant (tx1) aborts so that gate-style dependencies on the
         // older's commit can always drain.
-        let (r, _) = sys.resolve(Some(TxId(0)), block(0), true);
+        let r = sys.resolve(Some(TxId(0)), block(0), true);
         assert_eq!(r, Resolution::AbortOwners(vec![TxId(1)]));
 
         // Symmetric case: the younger requester facing an older stalled
@@ -528,7 +530,7 @@ mod tests {
         m0.record_write(WordIdx(0));
         sys2.on_tx_eviction(&m0, block(0));
         sys2.mark_stalling(TxId(0));
-        let (r, _) = sys2.resolve(Some(TxId(1)), block(0), true);
+        let r = sys2.resolve(Some(TxId(1)), block(0), true);
         assert_eq!(r, Resolution::SelfAbort);
     }
 
@@ -552,9 +554,9 @@ mod tests {
         let mut meta = TxLineMeta::new(TxId(0));
         meta.record_read(WordIdx(0));
         sys.on_tx_eviction(&meta, block(0));
-        let (r, _) = sys.resolve(Some(TxId(1)), block(0), false);
+        let r = sys.resolve(Some(TxId(1)), block(0), false);
         assert_eq!(r, Resolution::Proceed, "read/read never conflicts");
-        let (r, _) = sys.resolve(Some(TxId(1)), block(0), true);
+        let r = sys.resolve(Some(TxId(1)), block(0), true);
         assert_eq!(r, Resolution::Stall, "write/read does");
     }
 }

@@ -10,7 +10,7 @@
 //! buffers/shadow pages/XADT entries, and commits/aborts really move or
 //! discard data — which the serial reference executor verifies.
 
-use crate::backend::{Backend, SystemKind};
+use crate::backend::{Backend, Resolution, SystemKind};
 use crate::faults::FaultPlan;
 use crate::kernel::{Kernel, KernelConfig, Translation};
 use crate::locks::LockAttempt;
@@ -23,8 +23,9 @@ use ptm_cache::{
     CacheConfig, CacheLine, DataSource, Hierarchy, ProbeResult, SystemBus,
 };
 use ptm_core::durability::{DurStats, DurabilityConfig, DurableLog, UndoPayload};
-use ptm_core::system::AccessKind;
-use ptm_mem::{LogDevStats, PhysicalMemory, SpecBuffers};
+use ptm_core::system::{AccessKind, ConflictOutcome};
+use ptm_core::{Exhaustion, PtmSystem};
+use ptm_mem::{LogDevStats, PhysicalMemory, SpecBuffers, SwapStore};
 use ptm_types::ids::TxIdSource;
 use ptm_types::{
     Cycle, FastMap, FrameId, PhysAddr, PhysBlock, ProcessId, TxId, VirtAddr, Vpn, WordIdx,
@@ -967,13 +968,26 @@ impl Machine {
                     // then retry the access after the fault latency. The
                     // retry's translation installs the new TLB entry.
                     let frame = match &mut self.backend {
-                        Backend::Ptm(_) => match self.ptm_swap_in_with_recovery(idx, slot, now) {
-                            Ok(f) => {
-                                self.kernel.complete_swap_in(pid, va.vpn(), f);
-                                f
+                        Backend::Ptm(_) => {
+                            // The home+shadow burst can exhaust the pool:
+                            // reclaim, sparing the requester, whose own
+                            // abort is the fallback; with nothing left to
+                            // abort, stall (frames may return later — a
+                            // memory-squeeze fault releases its hostages).
+                            let me = self.tx_context(idx);
+                            let fallback = me.filter(|t| self.is_live_tx(*t));
+                            let swapped = self.reclaim(now, &[me], fallback, |p, mem, swap, _| {
+                                p.on_swap_in(slot, mem, swap)
+                            });
+                            match swapped {
+                                Ok(f) => {
+                                    self.kernel.complete_swap_in(pid, va.vpn(), f);
+                                    f
+                                }
+                                Err(Some(_)) => return AccessEffect::SelfAborted,
+                                Err(None) => return AccessEffect::Stall(now + self.cfg.retry_poll),
                             }
-                            Err(effect) => return effect,
-                        },
+                        }
                         _ => {
                             match self
                                 .kernel
@@ -998,12 +1012,8 @@ impl Machine {
                     // aborting the youngest live transaction (its shadow
                     // pages and buffers come back to the pool), then let the
                     // retry take the minor fault again.
-                    let requester = self.tx_context(idx);
-                    if let Some(victim) = self.youngest_live_tx(requester) {
-                        self.abort_tx(victim, now);
-                        if let Backend::Ptm(p) = &mut self.backend {
-                            p.note_exhaustion_abort();
-                        }
+                    if let Some(victim) = self.youngest_live_tx(&[self.tx_context(idx)]) {
+                        self.exhaustion_abort(victim, now);
                     }
                     return AccessEffect::Stall(now + cost.max(self.cfg.retry_poll));
                 }
@@ -1036,25 +1046,11 @@ impl Machine {
                     .filter(|m| Some(m.tx) != tx)
                     .copied();
                 if let Some(fm) = foreign {
-                    if self.is_live_tx(fm.tx) {
-                        let word_mode = self.kind.granularity().word_in_cache();
-                        let conflicts = match (kind, word_mode) {
-                            (AccessKind::Read, false) => fm.write,
-                            (AccessKind::Read, true) => fm.write_words.get(word),
-                            (AccessKind::Write, false) => fm.read || fm.write,
-                            (AccessKind::Write, true) => {
-                                fm.read_words.get(word) || fm.write_words.get(word)
-                            }
-                        };
-                        if conflicts {
-                            let requester_wins =
-                                tx.map(|me| me.wins_against(fm.tx)).unwrap_or(true);
-                            if requester_wins {
-                                self.abort_tx(fm.tx, now);
-                            } else {
-                                self.abort_tx(tx.expect("loser is transactional"), now);
-                                return AccessEffect::SelfAborted;
-                            }
+                    let word_mode = self.kind.granularity().word_in_cache();
+                    if self.is_live_tx(fm.tx) && fm.conflicts_with(is_write, word, word_mode) {
+                        let res = self.backend.arbitrate(tx, vec![fm.tx]);
+                        if let Err(effect) = self.apply_resolution(res, tx, now) {
+                            return effect;
                         }
                     }
                     // Displace whatever survives (the foreign line, or
@@ -1154,53 +1150,23 @@ impl Machine {
         let mut conflicts: Vec<TxId> = Vec::new();
         let mut check_done = now;
         if self.backend.has_overflows() {
-            match &mut self.backend {
-                Backend::Ptm(p) => {
-                    let outcome = p.check_conflict(tx, block, word, kind, now, &mut self.bus);
-                    if let Some(until) = outcome.stall_until {
-                        return Err(AccessEffect::Stall(until));
-                    }
-                    deny_exclusive = outcome.deny_exclusive;
-                    conflicts = outcome.conflicts;
-                    check_done = check_done.max(outcome.done_at);
-                }
-                Backend::Vtm(v) => {
-                    let outcome = v.check_conflict(tx, (pid, va), word, kind, now, &mut self.bus);
-                    if let Some(until) = outcome.stall_until {
-                        return Err(AccessEffect::Stall(until));
-                    }
-                    deny_exclusive = outcome.deny_exclusive;
-                    conflicts = outcome.conflicts;
-                    check_done = check_done.max(outcome.done_at);
-                }
+            let outcome = match &mut self.backend {
+                Backend::Ptm(p) => p.check_conflict(tx, block, word, kind, now, &mut self.bus),
+                Backend::Vtm(v) => v.check_conflict(tx, (pid, va), word, kind, now, &mut self.bus),
                 Backend::LogTm(l) => {
                     // Stall-preferring resolution against sticky state.
-                    use crate::logtm::Resolution;
-                    let (res, owners) = l.resolve(tx, block, is_write);
-                    match (res, tx) {
-                        (Resolution::Proceed, _) => {}
-                        (Resolution::Stall, _) => {
-                            self.stats.stall_cycles += self.cfg.retry_poll;
-                            return Err(AccessEffect::Stall(now + self.cfg.retry_poll));
-                        }
-                        (Resolution::SelfAbort, Some(me)) => {
-                            self.abort_tx(me, now);
-                            return Err(AccessEffect::SelfAborted);
-                        }
-                        (Resolution::SelfAbort, None) => {
-                            for o in owners {
-                                self.abort_tx(o, now);
-                            }
-                        }
-                        (Resolution::AbortOwners(losers), _) => {
-                            for o in losers {
-                                self.abort_tx(o, now);
-                            }
-                        }
-                    }
+                    let res = l.resolve(tx, block, is_write);
+                    self.apply_resolution(res, tx, now)?;
+                    ConflictOutcome::default()
                 }
-                _ => {}
+                _ => ConflictOutcome::default(),
+            };
+            if let Some(until) = outcome.stall_until {
+                return Err(AccessEffect::Stall(until));
             }
+            deny_exclusive = outcome.deny_exclusive;
+            conflicts = outcome.conflicts;
+            check_done = check_done.max(outcome.done_at);
         }
 
         // b. In-cache conflict check via the snoop — one pass over the
@@ -1213,15 +1179,7 @@ impl Machine {
                 continue;
             }
             other_cached_writer |= r.meta.write;
-            let hit = match (kind, word_mode) {
-                (AccessKind::Read, false) => r.meta.write,
-                (AccessKind::Read, true) => r.meta.write_words.get(word),
-                (AccessKind::Write, false) => r.meta.read || r.meta.write,
-                (AccessKind::Write, true) => {
-                    r.meta.read_words.get(word) || r.meta.write_words.get(word)
-                }
-            };
-            if hit {
+            if r.meta.conflicts_with(is_write, word, word_mode) {
                 conflicts.push(r.meta.tx);
             }
         }
@@ -1247,42 +1205,10 @@ impl Machine {
         // c. Arbitration. PTM/VTM: the oldest transaction always wins
         //    (§4.4.3); non-transactional accesses always win (§2.3.3).
         //    LogTM instead *stalls* the requester (NACK + retry) unless its
-        //    possible-cycle heuristic demands a self-abort.
+        //    possible-cycle heuristic demands an abort.
         if !conflicts.is_empty() {
-            if let Backend::LogTm(l) = &mut self.backend {
-                use crate::logtm::Resolution;
-                match l.arbitrate(tx, &conflicts) {
-                    Resolution::Proceed => unreachable!("conflicts are non-empty"),
-                    Resolution::Stall => {
-                        self.stats.stall_cycles += self.cfg.retry_poll;
-                        return Err(AccessEffect::Stall(now + self.cfg.retry_poll));
-                    }
-                    Resolution::SelfAbort => {
-                        let me = tx.expect("self-abort is transactional");
-                        self.abort_tx(me, now);
-                        return Err(AccessEffect::SelfAborted);
-                    }
-                    Resolution::AbortOwners(losers) => {
-                        for loser in losers {
-                            self.abort_tx(loser, now);
-                        }
-                    }
-                }
-            } else {
-                let requester_wins = match tx {
-                    None => true,
-                    Some(me) => conflicts.iter().all(|c| me.wins_against(*c)),
-                };
-                if requester_wins {
-                    for loser in conflicts {
-                        self.abort_tx(loser, now);
-                    }
-                } else {
-                    let me = tx.expect("loser is transactional");
-                    self.abort_tx(me, now);
-                    return Err(AccessEffect::SelfAborted);
-                }
-            }
+            let res = self.backend.arbitrate(tx, conflicts);
+            self.apply_resolution(res, tx, now)?;
         }
 
         // d. Remote readers of this block (in-cache, non-conflicting) also
@@ -1335,77 +1261,105 @@ impl Machine {
         }
     }
 
-    /// The *youngest* live transaction other than `exclude` — the
+    /// Applies a conflict's [`Resolution`] — the one place a detected
+    /// conflict aborts anyone. `Err` carries the requester's control effect
+    /// when it must stall or has aborted itself.
+    fn apply_resolution(
+        &mut self,
+        res: Resolution,
+        requester: Option<TxId>,
+        now: Cycle,
+    ) -> Result<(), AccessEffect> {
+        match res {
+            Resolution::Proceed => Ok(()),
+            Resolution::Stall => {
+                self.stats.stall_cycles += self.cfg.retry_poll;
+                Err(AccessEffect::Stall(now + self.cfg.retry_poll))
+            }
+            Resolution::SelfAbort => {
+                self.abort_tx(requester.expect("self-abort is transactional"), now);
+                Err(AccessEffect::SelfAborted)
+            }
+            Resolution::AbortOwners(losers) => {
+                for loser in losers {
+                    self.abort_tx(loser, now);
+                }
+                Ok(())
+            }
+        }
+    }
+
+    /// The *youngest* live transaction not in `spare` — the
     /// exhaustion-recovery victim (youngest has done the least work, and
     /// aborting it can never abort an older conflict winner). Sorted before
     /// selection: `live_transactions()` iterates a hash map.
-    pub(crate) fn youngest_live_tx(&self, exclude: Option<TxId>) -> Option<TxId> {
+    pub(crate) fn youngest_live_tx(&self, spare: &[Option<TxId>]) -> Option<TxId> {
         let mut live = match &self.backend {
             Backend::Ptm(p) => p.tstate().live_transactions(),
             _ => return None,
         };
         live.sort();
-        live.into_iter().rfind(|t| Some(*t) != exclude)
+        live.into_iter().rfind(|t| !spare.contains(&Some(*t)))
     }
 
-    /// PTM swap-in with exhaustion recovery: aborts youngest-first until the
-    /// pool covers the home+shadow burst. Falls back to aborting the
-    /// requester itself, and to a plain stall (frames may return later — a
-    /// memory-squeeze fault releases its hostages) when even that cannot
-    /// free a frame.
-    fn ptm_swap_in_with_recovery(
+    /// Aborts `victim` to give its frames and TAV nodes back — the one place
+    /// an exhaustion abort happens and is counted.
+    fn exhaustion_abort(&mut self, victim: TxId, now: Cycle) {
+        self.abort_tx(victim, now);
+        if let Backend::Ptm(p) = &mut self.backend {
+            p.note_exhaustion_abort();
+        }
+    }
+
+    /// The one exhaustion-recovery loop: runs the PTM `attempt` and, while
+    /// it runs out of frames or TAV nodes, aborts the youngest live
+    /// transaction not in `spare` and retries (a failed attempt is
+    /// side-effect free). With no such bystander left it aborts `fallback`
+    /// and returns `Err(Some(fallback))`, or `Err(None)` when there is no
+    /// fallback either.
+    fn reclaim<T>(
         &mut self,
-        idx: usize,
-        slot: ptm_types::SwapSlot,
         now: Cycle,
-    ) -> Result<FrameId, AccessEffect> {
-        let requester = self.tx_context(idx);
-        let mut recovered = false;
+        spare: &[Option<TxId>],
+        fallback: Option<TxId>,
+        mut attempt: impl FnMut(
+            &mut PtmSystem,
+            &mut PhysicalMemory,
+            &mut SwapStore,
+            &mut SystemBus,
+        ) -> Result<T, Exhaustion>,
+    ) -> Result<T, Option<TxId>> {
         let mut retries: u32 = 0;
         loop {
-            let attempt = match &mut self.backend {
-                Backend::Ptm(p) => p.on_swap_in(slot, &mut self.mem, &mut self.kernel.swap),
-                _ => unreachable!("PTM swap-in"),
+            let Backend::Ptm(p) = &mut self.backend else {
+                unreachable!("exhaustion recovery is PTM's");
             };
-            match attempt {
-                Ok(frame) => {
-                    if recovered {
-                        if let Backend::Ptm(p) = &mut self.backend {
-                            p.note_exhaustion_retry();
-                        }
+            let e = match attempt(p, &mut self.mem, &mut self.kernel.swap, &mut self.bus) {
+                Ok(v) => {
+                    if retries > 0 {
+                        p.note_exhaustion_retry();
                     }
-                    return Ok(frame);
+                    return Ok(v);
                 }
-                Err(e) => {
-                    retries += 1;
-                    if retries > MAX_EXHAUSTION_RETRIES {
-                        panic!(
-                            "swap-in exhaustion recovery did not converge after {MAX_EXHAUSTION_RETRIES} \
-                             abort-and-retry rounds (slot={slot:?} requester={requester:?} last={e:?} \
-                             free_frames={}): every abort must shrink the live set, so this is a \
-                             simulator bug, not resource pressure",
-                            self.mem.free_frames()
-                        );
-                    }
-                    if let Some(victim) = self.youngest_live_tx(requester) {
-                        self.abort_tx(victim, now);
-                        if let Backend::Ptm(p) = &mut self.backend {
-                            p.note_exhaustion_abort();
-                        }
-                        recovered = true;
-                        continue;
-                    }
-                    if let Some(me) = requester {
-                        if self.is_live_tx(me) {
-                            self.abort_tx(me, now);
-                            if let Backend::Ptm(p) = &mut self.backend {
-                                p.note_exhaustion_abort();
-                            }
-                            return Err(AccessEffect::SelfAborted);
-                        }
-                    }
-                    return Err(AccessEffect::Stall(now + self.cfg.retry_poll));
-                }
+                Err(e) => e,
+            };
+            retries += 1;
+            if retries > MAX_EXHAUSTION_RETRIES {
+                panic!(
+                    "exhaustion recovery did not converge after {MAX_EXHAUSTION_RETRIES} \
+                     abort-and-retry rounds (spare={spare:?} last={e:?} free_frames={}): every \
+                     abort must shrink the live set, so this is a simulator bug, not resource \
+                     pressure",
+                    self.mem.free_frames()
+                );
+            }
+            let victim = self.youngest_live_tx(spare);
+            let Some(v) = victim.or(fallback) else {
+                return Err(None);
+            };
+            self.exhaustion_abort(v, now);
+            if victim.is_none() {
+                return Err(Some(v));
             }
         }
     }
@@ -1548,87 +1502,24 @@ impl Machine {
             match &mut self.backend {
                 Backend::Ptm(_) => {
                     // Overflow processing can exhaust the frame pool (shadow
-                    // allocation) or the TAV arena. Recover by aborting the
-                    // youngest live bystander and retrying; a failed
-                    // `on_tx_eviction` is side-effect free.
-                    let mut recovered = false;
-                    let mut retries: u32 = 0;
-                    loop {
-                        let attempt = match &mut self.backend {
-                            Backend::Ptm(p) => p.on_tx_eviction(
-                                &meta,
-                                line.block(),
-                                spec.as_ref(),
-                                in_cache_cowriter,
-                                &mut self.mem,
-                                now,
-                                &mut self.bus,
-                            ),
-                            _ => unreachable!("checked above"),
-                        };
-                        match attempt {
-                            Ok(_) => {
-                                if recovered {
-                                    if let Backend::Ptm(p) = &mut self.backend {
-                                        p.note_exhaustion_retry();
-                                    }
-                                }
-                                return false;
-                            }
-                            Err(e) => {
-                                retries += 1;
-                                if retries > MAX_EXHAUSTION_RETRIES {
-                                    panic!(
-                                        "eviction exhaustion recovery did not converge after \
-                                         {MAX_EXHAUSTION_RETRIES} abort-and-retry rounds \
-                                         (block={} owner={} requester={requester:?} last={e:?} \
-                                         free_frames={}): every abort must shrink the live set, \
-                                         so this is a simulator bug, not resource pressure",
-                                        line.block(),
-                                        meta.tx,
-                                        self.mem.free_frames()
-                                    );
-                                }
-                                // Victims: youngest live transaction that is
-                                // neither the line's owner nor the requester.
-                                let victim = {
-                                    let mut live = match &self.backend {
-                                        Backend::Ptm(p) => p.tstate().live_transactions(),
-                                        _ => unreachable!("checked above"),
-                                    };
-                                    live.sort();
-                                    live.into_iter()
-                                        .rfind(|t| *t != meta.tx && Some(*t) != requester)
-                                };
-                                let victim = match victim {
-                                    Some(v) => v,
-                                    None if Some(meta.tx) != requester => {
-                                        // Abort the line's owner: the line
-                                        // dies with it, nothing to overflow.
-                                        self.abort_tx(meta.tx, now);
-                                        if let Backend::Ptm(p) = &mut self.backend {
-                                            p.note_exhaustion_abort();
-                                        }
-                                        return false;
-                                    }
-                                    None => {
-                                        // The requester owns the line and is
-                                        // the only live transaction left.
-                                        self.abort_tx(meta.tx, now);
-                                        if let Backend::Ptm(p) = &mut self.backend {
-                                            p.note_exhaustion_abort();
-                                        }
-                                        return true;
-                                    }
-                                };
-                                self.abort_tx(victim, now);
-                                if let Backend::Ptm(p) = &mut self.backend {
-                                    p.note_exhaustion_abort();
-                                }
-                                recovered = true;
-                            }
-                        }
-                    }
+                    // allocation) or the TAV arena: reclaim, sparing the
+                    // line's owner and the requester. The fallback aborts
+                    // the owner — the line dies with it, nothing to overflow
+                    // — and the requester unwinds if that was itself.
+                    let block = line.block();
+                    let spared = [Some(meta.tx), requester];
+                    let overflowed = self.reclaim(now, &spared, Some(meta.tx), |p, mem, _, bus| {
+                        p.on_tx_eviction(
+                            &meta,
+                            block,
+                            spec.as_ref(),
+                            in_cache_cowriter,
+                            mem,
+                            now,
+                            bus,
+                        )
+                    });
+                    return overflowed.is_err() && Some(meta.tx) == requester;
                 }
                 Backend::Vtm(v) => {
                     let (pid, vpn) = *self
@@ -1822,36 +1713,8 @@ impl Machine {
     /// Reads the committed value of a word as the coherent, non-speculative
     /// world would see it (used by the serial reference check).
     pub fn read_committed(&self, pid: ProcessId, va: VirtAddr) -> u32 {
-        if let Some(frame) = self.kernel.frame_of(pid, va.vpn()) {
-            let pa = PhysAddr::from_frame(frame, va.page_offset());
-            return match &self.backend {
-                Backend::Ptm(p) => {
-                    let f = p.committed_frame(pa.block());
-                    self.mem
-                        .read_word(PhysAddr::from_frame(f, pa.page_offset()))
-                }
-                _ => self.mem.read_word(pa),
-            };
-        }
-        // Swapped-out pages are still part of the committed state: their
-        // home image lives in the swap store, and for PTM the SIT says
-        // whether a block's committed version was left in the shadow image
-        // instead (§3.5).
-        let Some(slot) = self.kernel.swap_slot_of(pid, va.vpn()) else {
-            return 0; // Never mapped: untouched memory reads as zero.
-        };
-        let img_slot = match &self.backend {
-            Backend::Ptm(p) => {
-                let idx = PhysAddr::from_frame(FrameId(0), va.page_offset())
-                    .block()
-                    .index();
-                p.committed_swap_slot(slot, idx)
-            }
-            _ => slot,
-        };
-        let img = self.kernel.swap.peek(img_slot);
-        let off = va.page_offset();
-        u32::from_le_bytes(img[off..off + WORD_SIZE].try_into().expect("word in page"))
+        self.backend
+            .read_committed(&self.kernel, &self.mem, pid, va)
     }
 
     /// The programs' thread count.
