@@ -24,7 +24,7 @@ use ptm_mem::{LogDevConfig, LogDevStats, LogFaultPlan};
 use ptm_sim::crash::CrashPlan;
 use ptm_sim::{
     check_invariants, diff_against_machine, serialize_programs, FaultAction, FaultEvent, FaultPlan,
-    Machine, SystemKind, ThreadProgram,
+    Machine, MachineConfig, SystemKind, ThreadProgram,
 };
 use ptm_types::rng::{Fnv1a64, SplitMix64};
 use ptm_types::Granularity;
@@ -315,16 +315,23 @@ fn seeded_plan(seed: u64) -> FaultPlan {
     plan
 }
 
-/// A fresh machine for `cell`, with its log device attached, and the
-/// programs it runs.
-fn machine(cell: &Cell) -> (Machine, Vec<ThreadProgram>) {
+/// A cell's workload, built once: the configuration and the programs
+/// every machine of the cell runs. The programs share their op streams,
+/// so each machine's copy costs one cursor per thread.
+fn inputs(cell: &Cell) -> (MachineConfig, Vec<ThreadProgram>) {
     let w = cell.workload.build(cell.scale);
     let programs = if cell.kind == SystemKind::Serial {
         serialize_programs(&w.programs_for(SystemKind::Serial))
     } else {
         w.programs_for(cell.kind)
     };
-    let mut m = Machine::new(w.machine_config(), cell.kind, programs.clone());
+    (w.machine_config(), programs)
+}
+
+/// A fresh machine for `cell` running `programs`, with its log device
+/// attached.
+fn machine(cell: &Cell, cfg: MachineConfig, programs: &[ThreadProgram]) -> Machine {
+    let mut m = Machine::new(cfg, cell.kind, programs.to_vec());
     if let Some((policy, seed)) = cell.log {
         // The realistic device keeps appends in flight long enough for
         // force policies to differ and the torn/lost classes to bite.
@@ -334,7 +341,7 @@ fn machine(cell: &Cell) -> (Machine, Vec<ThreadProgram>) {
             faults: LogFaultPlan::from_seed(seed),
         });
     }
-    (m, programs)
+    m
 }
 
 /// What a cell's crash points added up to.
@@ -411,11 +418,12 @@ pub struct CellReport {
 pub fn run_cell(cell: &Cell) -> CellReport {
     let start = Instant::now();
     let plan = cell.fault_seed.map_or_else(FaultPlan::empty, seeded_plan);
-    let (mut m, programs) = machine(cell);
+    let (cfg, programs) = inputs(cell);
+    let mut m = machine(cell, cfg, &programs);
     let probe = m.run_until_crash(&CrashPlan::at_step(u64::MAX), &plan);
     assert!(probe.finished, "{}: probe run must complete", cell.label());
     let mut crash = cell.crash.map_or_else(CrashSums::default, |crash| {
-        crash_points(cell, crash, &plan, probe.step)
+        crash_points(cell, cfg, &programs, crash, &plan, probe.step)
     });
     let probe_attempts = m.durable_stats().map_or(0, |d| d.max_append_attempts);
     crash.max_append_attempts = crash.max_append_attempts.max(probe_attempts);
@@ -434,8 +442,16 @@ pub fn run_cell(cell: &Cell) -> CellReport {
     }
 }
 
-/// Runs `crash`'s points for `cell`, whose probe took `total` steps.
-fn crash_points(cell: &Cell, crash: CrashSpec, plan: &FaultPlan, total: u64) -> CrashSums {
+/// Runs `crash`'s points for `cell`, whose probe took `total` steps, each
+/// on a fresh machine built from the cell's `inputs`.
+fn crash_points(
+    cell: &Cell,
+    cfg: MachineConfig,
+    programs: &[ThreadProgram],
+    crash: CrashSpec,
+    plan: &FaultPlan,
+    total: u64,
+) -> CrashSums {
     let tearable = matches!(cell.kind, SystemKind::CopyPtm | SystemKind::SelectPtm(_));
     let mut s = CrashSums::default();
     let mut points = Vec::new();
@@ -452,8 +468,7 @@ fn crash_points(cell: &Cell, crash: CrashSpec, plan: &FaultPlan, total: u64) -> 
     let mut rng = SplitMix64::new(crash.seed);
     let storm = FaultPlan::from_seed(rng.next_u64(), total, 12);
     if crash.extras > 0 {
-        let (mut m, _) = machine(cell);
-        let storm_steps = m
+        let storm_steps = machine(cell, cfg, programs)
             .run_until_crash(&CrashPlan::at_step(u64::MAX), &storm)
             .step;
         for _ in 0..crash.extras {
@@ -480,8 +495,7 @@ fn crash_points(cell: &Cell, crash: CrashSpec, plan: &FaultPlan, total: u64) -> 
             digest.write_u64(storm.digest());
             &storm
         };
-        let (mut m, programs) = machine(cell);
-        let mut img = m.run_until_crash(point, faults);
+        let mut img = machine(cell, cfg, programs).run_until_crash(point, faults);
         let log_bytes = img.log.as_ref().map_or(0, |l| l.bytes.len() as u64);
         if let Some(log) = &img.log {
             s.torn_appends += log.torn_appends;
@@ -498,7 +512,7 @@ fn crash_points(cell: &Cell, crash: CrashSpec, plan: &FaultPlan, total: u64) -> 
 
         s.points += 1;
         s.torn_points += u64::from(img.torn.is_some());
-        s.prefix_mismatches += img.diff_committed(&programs).len() as u64;
+        s.prefix_mismatches += img.diff_committed(programs).len() as u64;
         s.non_idempotent += u64::from(!img.recover().is_noop());
         s.recovery += stats;
         s.worst_blocks_restored = s.worst_blocks_restored.max(stats.blocks_restored);

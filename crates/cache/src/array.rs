@@ -87,15 +87,14 @@ impl CacheArray {
             .find(|l| l.block() == block && l.state() != Moesi::Invalid)
     }
 
-    /// Mutable lookup; refreshes the line's LRU position.
+    /// Mutable lookup; a hit refreshes the line's LRU position.
     pub fn get_mut(&mut self, block: PhysBlock) -> Option<&mut CacheLine> {
-        self.clock += 1;
-        let clock = self.clock;
         let idx = self.set_index(block);
         let line = self.sets[idx]
             .iter_mut()
             .find(|l| l.block() == block && l.state() != Moesi::Invalid)?;
-        line.lru = clock;
+        self.clock += 1;
+        line.lru = self.clock;
         Some(line)
     }
 

@@ -172,12 +172,9 @@ impl Hierarchy {
     /// subsequent probe is an L1 hit (models the refill on an L1 miss /
     /// L2 hit).
     pub fn touch_mut(&mut self, block: PhysBlock) -> Option<LineMut<'_>> {
-        if !self.l2.contains(block) {
-            return None;
-        }
+        let line = self.l2.get_mut(block)?;
         // Refill L1; its victim needs no action (inclusive, data in L2).
         let _ = self.l1.insert(CacheLine::presence(block));
-        let line = self.l2.get_mut(block)?;
         Some(LineMut {
             line,
             tagged: &mut self.tagged,

@@ -158,11 +158,6 @@ impl CacheLine {
         self.tx.as_ref()
     }
 
-    /// Mutable transactional metadata.
-    pub fn tx_meta_mut(&mut self) -> Option<&mut TxLineMeta> {
-        self.tx.as_mut()
-    }
-
     /// Returns the metadata for `tx`, creating it if the line is currently
     /// non-transactional.
     ///

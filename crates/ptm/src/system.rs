@@ -642,31 +642,48 @@ impl PtmSystem {
 
     /// The frame transaction `tx` should read `word` of `block` from: its
     /// own overflowed speculative version when it has one, otherwise the
-    /// committed version.
+    /// committed version. One bit of [`Self::tx_view_block`].
     pub fn tx_view_frame(&self, tx: TxId, block: PhysBlock, word: WordIdx) -> FrameId {
+        let (committed, speculative, mask) = self.tx_view_block(tx, block);
+        if mask.get(word) {
+            speculative
+        } else {
+            committed
+        }
+    }
+
+    /// Transaction `tx`'s view of a whole block: `(committed, speculative,
+    /// mask)`, where the words in `mask` read from the `speculative` frame
+    /// (its own overflowed version) and the rest from the `committed` one.
+    /// Block modes give an empty or full mask; word modes the words `tx`
+    /// wrote. With an empty mask, `speculative` is `committed`.
+    pub fn tx_view_block(&self, tx: TxId, block: PhysBlock) -> (FrameId, FrameId, WordMask) {
         let frame = block.frame();
         let idx = block.index();
         let Some(entry) = self.spt.entry(frame) else {
-            return frame;
+            return (frame, frame, WordMask::EMPTY);
         };
+        let committed = self.committed_frame(block);
         let Some(node_ref) = self.tavs.find_in_page_list(entry.tav_head, tx) else {
-            return self.committed_frame(block);
+            return (committed, committed, WordMask::EMPTY);
         };
-        let wrote = if self.cfg.granularity.word_in_cache() {
+        let mask = if self.cfg.granularity.word_in_cache() {
             // Word modes: the speculative page only holds the words this
             // transaction wrote; everything else reads the committed page.
-            let word_in_page = idx.0 as usize * (BLOCK_SIZE / WORD_SIZE) + word.0 as usize;
-            self.tavs.write_words(node_ref).get(word_in_page)
+            self.tavs.write_words(node_ref).block_words(idx)
+        } else if self.tavs.write_vec(node_ref).get(idx) {
+            WordMask::FULL
         } else {
-            self.tavs.write_vec(node_ref).get(idx)
+            WordMask::EMPTY
         };
-        if !wrote {
-            return self.committed_frame(block);
+        if mask == WordMask::EMPTY {
+            return (committed, committed, mask);
         }
-        match self.cfg.policy {
+        let speculative = match self.cfg.policy {
             PtmPolicy::Copy => frame, // speculative data lives in the home page
             PtmPolicy::Select => entry.speculative_frame(idx),
-        }
+        };
+        (committed, speculative, mask)
     }
 
     /// Whether `tx` has an overflowed dirty version of `block`.
@@ -1337,4 +1354,131 @@ pub(crate) fn restore_words(
         to[off..off + WORD_SIZE].copy_from_slice(&from[off..off + WORD_SIZE]);
     }
     mem.write_block(dst, &to);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ptm_cache::BusTimings;
+    use ptm_types::{Granularity, BLOCKS_PER_PAGE, WORDS_PER_BLOCK};
+
+    /// The per-word rule `tx_view_frame` applied before it became one bit
+    /// of `tx_view_block`, kept here as the reference: whether `tx`'s TAV
+    /// node has `word` of `block` in its write set (block modes: the
+    /// block's write bit), and the frame `tx` reads the word from.
+    fn per_word_view(p: &PtmSystem, tx: TxId, block: PhysBlock, word: WordIdx) -> (bool, FrameId) {
+        let frame = block.frame();
+        let idx = block.index();
+        let Some(entry) = p.spt.entry(frame) else {
+            return (false, frame);
+        };
+        let Some(node_ref) = p.tavs.find_in_page_list(entry.tav_head, tx) else {
+            return (false, p.committed_frame(block));
+        };
+        let wrote = if p.cfg.granularity.word_in_cache() {
+            let word_in_page = idx.0 as usize * WORDS_PER_BLOCK + word.0 as usize;
+            p.tavs.write_words(node_ref).get(word_in_page)
+        } else {
+            p.tavs.write_vec(node_ref).get(idx)
+        };
+        if !wrote {
+            return (false, p.committed_frame(block));
+        }
+        let speculative = match p.cfg.policy {
+            PtmPolicy::Copy => frame,
+            PtmPolicy::Select => entry.speculative_frame(idx),
+        };
+        (true, speculative)
+    }
+
+    /// Overflows `tx`'s line for block `idx` of `frame`, having written
+    /// `words` (none: a clean, read-only overflow).
+    fn overflow(
+        p: &mut PtmSystem,
+        mem: &mut PhysicalMemory,
+        bus: &mut SystemBus,
+        tx: TxId,
+        (frame, idx): (u32, u8),
+        words: &[u8],
+    ) {
+        let mut meta = TxLineMeta::new(tx);
+        let mut spec = SpecBlock {
+            data: [0xA5; BLOCK_SIZE],
+            written: WordMask::EMPTY,
+        };
+        meta.record_read(WordIdx(0));
+        for &w in words {
+            meta.record_write(WordIdx(w));
+            spec.written.set(WordIdx(w));
+        }
+        let block = PhysBlock::new(FrameId(frame), BlockIdx(idx));
+        let spec = (!words.is_empty()).then_some(&spec);
+        p.on_tx_eviction(&meta, block, spec, false, mem, 0, bus)
+            .expect("frames to spare");
+    }
+
+    #[test]
+    fn block_view_matches_the_tav_write_bits_and_the_per_word_rule() {
+        let granularities = [Granularity::Block, Granularity::WordCacheMem];
+        for policy in [PtmPolicy::Copy, PtmPolicy::Select] {
+            for granularity in granularities {
+                let mut p = PtmSystem::new(PtmConfig {
+                    policy,
+                    granularity,
+                    ..PtmConfig::select()
+                });
+                let mut mem = PhysicalMemory::new(32);
+                let mut bus = SystemBus::new(BusTimings::default());
+                for _ in 0..4 {
+                    let f = mem.alloc().expect("free frame");
+                    p.on_page_alloc(f);
+                }
+                // A committed writer moves Select's committed copy of
+                // (0, 6) to the shadow page.
+                let (t0, t1, t2, done) = (TxId(0), TxId(1), TxId(2), TxId(3));
+                p.begin(done, None);
+                overflow(&mut p, &mut mem, &mut bus, done, (0, 6), &[1]);
+                p.commit(done, &mut mem, &mut SwapStore::new(), 10, &mut bus);
+                for tx in [t0, t1, t2] {
+                    p.begin(tx, None);
+                }
+                overflow(&mut p, &mut mem, &mut bus, t0, (0, 2), &[0, 3]);
+                overflow(&mut p, &mut mem, &mut bus, t0, (0, 5), &[]);
+                let all: Vec<u8> = (0..WORDS_PER_BLOCK as u8).collect();
+                overflow(&mut p, &mut mem, &mut bus, t0, (0, 9), &all);
+                overflow(&mut p, &mut mem, &mut bus, t1, (1, 4), &[7]);
+                overflow(&mut p, &mut mem, &mut bus, t1, (0, 6), &[2, 15]);
+
+                let label = format!("{policy:?}/{granularity:?}");
+                let mut written = 0;
+                for tx in [t0, t1, t2, done] {
+                    for frame in 0..4 {
+                        for idx in 0..BLOCKS_PER_PAGE as u8 {
+                            let block = PhysBlock::new(FrameId(frame), BlockIdx(idx));
+                            let (committed, speculative, mask) = p.tx_view_block(tx, block);
+                            if mask == WordMask::EMPTY {
+                                assert_eq!(committed, speculative, "{label} {tx} {block}");
+                            }
+                            for w in (0..WORDS_PER_BLOCK as u8).map(WordIdx) {
+                                let (bit, want) = per_word_view(&p, tx, block, w);
+                                written += u32::from(bit);
+                                assert_eq!(mask.get(w), bit, "{label} {tx} {block} {w:?}");
+                                let viewed = if bit { speculative } else { committed };
+                                assert_eq!(viewed, want, "{label} {tx} {block} {w:?}");
+                                assert_eq!(p.tx_view_frame(tx, block, w), want);
+                            }
+                        }
+                    }
+                }
+                // Word modes see the 21 written words; block modes widen
+                // each of the 4 written blocks to all 16 words.
+                let want = if granularity.word_in_cache() {
+                    21
+                } else {
+                    4 * WORDS_PER_BLOCK as u32
+                };
+                assert_eq!(written, want, "{label}");
+            }
+        }
+    }
 }

@@ -9,6 +9,7 @@ use ptm_sim::{FaultPlan, Machine, MachineConfig, Op, SystemKind, ThreadProgram};
 use ptm_types::{Cycle, FastMap, ProcessId, ThreadId, VirtAddr, BLOCK_SIZE, PAGE_SIZE, WORD_SIZE};
 use ptm_workloads::ClientTx;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Base virtual address of the ledger words inside a shard machine.
@@ -166,28 +167,49 @@ impl ShardPlan {
     /// plus the `(thread, begin_pc)` → client tx id map that decodes the
     /// machine's commit log back into receipts.
     fn programs(&self, threads: usize) -> (Vec<ThreadProgram>, FastMap<(u32, usize), u64>) {
-        let mut thread_ops: Vec<Vec<Op>> = vec![Vec::new(); threads];
-        let mut tx_of: FastMap<(u32, usize), u64> = FastMap::default();
-        for (i, t) in self.transfers.iter().enumerate() {
-            let thread = i % threads;
-            let ops = &mut thread_ops[thread];
-            tx_of.insert((thread as u32, ops.len()), t.id);
-            ops.push(Op::Begin {
+        let tx_of = self
+            .transfers
+            .iter()
+            .enumerate()
+            .map(|(i, t)| (((i % threads) as u32, TRANSFER_OPS * (i / threads)), t.id))
+            .collect();
+        let programs = (0..threads)
+            .map(|thread| {
+                // Thread `thread` runs transfers `thread`, `thread + threads`,
+                // ...; an exact-length iterator builds its shared stream in
+                // one allocation.
+                let n = self
+                    .transfers
+                    .len()
+                    .saturating_sub(thread)
+                    .div_ceil(threads);
+                let ops: Arc<[Op]> = (0..n)
+                    .flat_map(|j| self.transfers[thread + j * threads].ops())
+                    .collect();
+                ThreadProgram::new(ProcessId(0), ThreadId(thread as u32), ops)
+            })
+            .collect();
+        (programs, tx_of)
+    }
+}
+
+/// Ops in one compiled transfer: `Begin`, two `Rmw`s, `End`.
+const TRANSFER_OPS: usize = 4;
+
+impl Transfer {
+    /// The transfer as one transaction.
+    fn ops(&self) -> [Op; TRANSFER_OPS] {
+        [
+            Op::Begin {
                 ordered: None,
                 // Lock word for the lock-based execution mode: stripe by the
                 // debited account so independent transfers don't serialize.
-                lock: VirtAddr::new(((t.from % 1024) * WORD_SIZE) as u64),
-            });
-            ops.push(Op::Rmw(addr_of(t.from), -(t.amount as i32)));
-            ops.push(Op::Rmw(addr_of(t.to), t.amount as i32));
-            ops.push(Op::End);
-        }
-        let programs = thread_ops
-            .into_iter()
-            .enumerate()
-            .map(|(t, ops)| ThreadProgram::new(ProcessId(0), ThreadId(t as u32), ops))
-            .collect();
-        (programs, tx_of)
+                lock: VirtAddr::new(((self.from % 1024) * WORD_SIZE) as u64),
+            },
+            Op::Rmw(addr_of(self.from), -(self.amount as i32)),
+            Op::Rmw(addr_of(self.to), self.amount as i32),
+            Op::End,
+        ]
     }
 }
 

@@ -24,7 +24,7 @@
 use crate::block::{fold_deltas, BlockOutcome, ShardMachines};
 use crate::config::ServiceConfig;
 use crate::ingest::ServiceReport;
-use crate::journal::{replay, Journal, JournalStats};
+use crate::journal::{replay, Journal};
 use ptm_core::durability::ForcePolicy;
 use ptm_mem::logdev::LogImage;
 use ptm_types::FastMap;
@@ -340,11 +340,6 @@ impl ServiceRecovery {
     /// the same balances and outcomes (idempotence).
     pub fn crash_image(&self) -> LogImage {
         self.journal.crash_image()
-    }
-
-    /// Journal counters for recovery's own appends.
-    pub fn journal_stats(&self) -> &JournalStats {
-        self.journal.stats()
     }
 }
 

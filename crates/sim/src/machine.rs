@@ -29,7 +29,7 @@ use ptm_mem::{LogDevStats, PhysicalMemory, SpecBuffers, SwapStore};
 use ptm_types::ids::TxIdSource;
 use ptm_types::{
     Cycle, FastMap, FrameId, PhysAddr, PhysBlock, ProcessId, TxId, VirtAddr, Vpn, WordIdx,
-    BLOCK_SIZE, WORD_SIZE,
+    WordMask, BLOCK_SIZE, WORD_SIZE,
 };
 use std::sync::OnceLock;
 
@@ -144,8 +144,9 @@ struct TlbEntry {
 
 /// What an access attempt resolved to.
 pub(crate) enum AccessEffect {
-    /// Completed; the op's latency in cycles.
-    Done(Cycle),
+    /// Completed; the op's latency in cycles and the physical address the
+    /// access translated to.
+    Done(Cycle, PhysAddr),
     /// Must retry the same op at the given cycle (cleanup window, swap-in).
     Stall(Cycle),
     /// The requester's own transaction lost arbitration and was aborted;
@@ -530,7 +531,7 @@ impl Machine {
                         // real coherence transaction, so contended locks
                         // ping-pong between caches.
                         let lat = match self.access(idx, now, lock, AccessKind::Write) {
-                            AccessEffect::Done(lat) => lat,
+                            AccessEffect::Done(lat, _) => lat,
                             AccessEffect::Stall(until) => until.saturating_sub(now),
                             AccessEffect::SelfAborted => unreachable!("no tx in lock mode"),
                         };
@@ -592,7 +593,7 @@ impl Machine {
                 self.cores[idx].prog.advance();
                 // The release is a store to the lock word.
                 let lat = match self.access(idx, now, lock, AccessKind::Write) {
-                    AccessEffect::Done(lat) => lat,
+                    AccessEffect::Done(lat, _) => lat,
                     AccessEffect::Stall(until) => until.saturating_sub(now),
                     AccessEffect::SelfAborted => unreachable!("no tx in lock mode"),
                 };
@@ -759,14 +760,9 @@ impl Machine {
         write: Option<WriteVal>,
     ) {
         match self.access(idx, now, va, kind) {
-            AccessEffect::Done(latency) => {
+            AccessEffect::Done(latency, pa) => {
                 // Functional data movement.
                 let pid = self.cores[idx].prog.pid();
-                let pa = self
-                    .kernel
-                    .frame_of(pid, va.vpn())
-                    .map(|f| PhysAddr::from_frame(f, va.page_offset()))
-                    .expect("page resident after successful access");
                 let tx = self.tx_context(idx);
                 let old = self.read_word_functional(tx, pid, va, pa);
                 self.cores[idx].checksum = self.cores[idx]
@@ -1061,7 +1057,7 @@ impl Machine {
                         }
                     }
                     return match self.access(idx, now, va, kind) {
-                        AccessEffect::Done(extra) => AccessEffect::Done(latency + extra),
+                        AccessEffect::Done(extra, pa) => AccessEffect::Done(latency + extra, pa),
                         other => other,
                     };
                 }
@@ -1094,7 +1090,7 @@ impl Machine {
                 if let Some(tx) = tx {
                     line.tag(tx).record_access(word, is_write);
                 }
-                AccessEffect::Done(latency)
+                AccessEffect::Done(latency, pa)
             }
             ProbeResult::Miss => {
                 self.caches[idx].l2_stats_mut().misses += 1;
@@ -1120,7 +1116,7 @@ impl Machine {
                         return AccessEffect::SelfAborted;
                     }
                 }
-                AccessEffect::Done(latency)
+                AccessEffect::Done(latency, pa)
             }
         }
     }
@@ -1667,14 +1663,17 @@ impl Machine {
     ) -> [u8; BLOCK_SIZE] {
         match &self.backend {
             Backend::Ptm(p) => {
-                let mut out = [0u8; BLOCK_SIZE];
-                let base_off = block.addr().page_offset();
-                for w in 0..(BLOCK_SIZE / WORD_SIZE) as u8 {
-                    let f = p.tx_view_frame(tx, block, WordIdx(w));
-                    let pa = PhysAddr::from_frame(f, base_off + w as usize * WORD_SIZE);
-                    let v = self.mem.read_word(pa);
-                    out[w as usize * WORD_SIZE..(w as usize + 1) * WORD_SIZE]
-                        .copy_from_slice(&v.to_le_bytes());
+                let (committed, speculative, mask) = p.tx_view_block(tx, block);
+                if mask == WordMask::FULL {
+                    return self.mem.read_block(block.on_frame(speculative));
+                }
+                let mut out = self.mem.read_block(block.on_frame(committed));
+                if mask != WordMask::EMPTY {
+                    let spec = self.mem.read_block(block.on_frame(speculative));
+                    for w in mask.iter() {
+                        let bytes = w.0 as usize * WORD_SIZE..(w.0 as usize + 1) * WORD_SIZE;
+                        out[bytes.clone()].copy_from_slice(&spec[bytes]);
+                    }
                 }
                 out
             }
@@ -1715,11 +1714,6 @@ impl Machine {
     pub fn read_committed(&self, pid: ProcessId, va: VirtAddr) -> u32 {
         self.backend
             .read_committed(&self.kernel, &self.mem, pid, va)
-    }
-
-    /// The programs' thread count.
-    pub fn core_count(&self) -> usize {
-        self.cores.len()
     }
 
     /// Direct kernel access for scenario tests (shared mappings, forced
@@ -1826,12 +1820,12 @@ mod tests {
             // Warm core 0's TLB, then hit it once.
             assert!(matches!(
                 m.access(0, 0, va, AccessKind::Read),
-                AccessEffect::Done(_)
+                AccessEffect::Done(..)
             ));
             assert_eq!(m.tlb_peek(0, pid, va.vpn()), Some(frame));
             assert!(matches!(
                 m.access(0, 50, va, AccessKind::Read),
-                AccessEffect::Done(_)
+                AccessEffect::Done(..)
             ));
             assert_eq!(m.stats.tlb_hits, 1);
             assert_eq!(m.stats.tlb_misses, 1);
@@ -1853,12 +1847,12 @@ mod tests {
                 "swapped page must fault, not serve a stale TLB entry"
             );
             // The retry completes against the new mapping with the old data.
-            assert!(matches!(
-                m.access(0, 20_000, va, AccessKind::Read),
-                AccessEffect::Done(_)
-            ));
+            let AccessEffect::Done(_, pa) = m.access(0, 20_000, va, AccessKind::Read) else {
+                panic!("the swapped-in page must serve the retry");
+            };
             assert_eq!(m.read_committed(pid, va), 77);
             let new_frame = m.kernel.frame_of(pid, va.vpn()).expect("resident again");
+            assert_eq!(pa, PhysAddr::from_frame(new_frame, va.page_offset()));
             assert_eq!(m.tlb_peek(0, pid, va.vpn()), Some(new_frame));
         }
     }
@@ -1872,18 +1866,18 @@ mod tests {
         let b = VirtAddr::new(0x10_0000 + stride);
         assert!(matches!(
             m.access(0, 0, a, AccessKind::Read),
-            AccessEffect::Done(_)
+            AccessEffect::Done(..)
         ));
         assert!(matches!(
             m.access(0, 100, b, AccessKind::Read),
-            AccessEffect::Done(_)
+            AccessEffect::Done(..)
         ));
         // `b` displaced `a` from their shared direct-mapped slot.
         assert_eq!(m.tlb_peek(0, pid, a.vpn()), None);
         assert!(m.tlb_peek(0, pid, b.vpn()).is_some());
         assert!(matches!(
             m.access(0, 200, a, AccessKind::Read),
-            AccessEffect::Done(_)
+            AccessEffect::Done(..)
         ));
         assert_eq!(m.stats.tlb_hits, 0);
         assert_eq!(m.stats.tlb_misses, 3);
@@ -1900,11 +1894,11 @@ mod tests {
         let va = VirtAddr::new(0x3000);
         assert!(matches!(
             m.access(0, 0, va, AccessKind::Read),
-            AccessEffect::Done(_)
+            AccessEffect::Done(..)
         ));
         assert!(matches!(
             m.access(0, 100, va, AccessKind::Read),
-            AccessEffect::Done(_)
+            AccessEffect::Done(..)
         ));
         assert_eq!(m.tlb_peek(0, ProcessId(0), va.vpn()), None);
         assert_eq!(m.stats.tlb_hits, 0);

@@ -2,8 +2,13 @@
 
 use crate::ops::Op;
 use ptm_types::{ProcessId, ThreadId, TxId};
+use std::sync::Arc;
 
 /// A thread's operation stream plus its execution cursor.
+///
+/// Nothing ever changes the operations, so the stream is shared: cloning a
+/// program copies its cursor and bumps a reference count, and every machine
+/// a workload builds runs the same allocation.
 ///
 /// On abort the program *rewinds* to the outermost `Begin` — the simulator's
 /// equivalent of restoring the register checkpoint — and re-executes with
@@ -27,7 +32,7 @@ use ptm_types::{ProcessId, ThreadId, TxId};
 pub struct ThreadProgram {
     pid: ProcessId,
     thread: ThreadId,
-    ops: Vec<Op>,
+    ops: Arc<[Op]>,
     pc: usize,
     /// Index of the outermost `Begin` of the transaction in flight.
     tx_begin_pc: Option<usize>,
@@ -40,12 +45,13 @@ pub struct ThreadProgram {
 }
 
 impl ThreadProgram {
-    /// Creates a program at its first operation.
-    pub fn new(pid: ProcessId, thread: ThreadId, ops: Vec<Op>) -> Self {
+    /// Creates a program at its first operation. A `Vec` is copied into a
+    /// shared stream once; an `Arc<[Op]>` is shared as it is.
+    pub fn new(pid: ProcessId, thread: ThreadId, ops: impl Into<Arc<[Op]>>) -> Self {
         ThreadProgram {
             pid,
             thread,
-            ops,
+            ops: ops.into(),
             pc: 0,
             tx_begin_pc: None,
             cur_tx: None,
@@ -108,6 +114,11 @@ impl ThreadProgram {
     /// committed ranges through this).
     pub fn op_at(&self, pc: usize) -> Option<Op> {
         self.ops.get(pc).copied()
+    }
+
+    /// The whole operation stream.
+    pub fn ops(&self) -> &[Op] {
+        &self.ops
     }
 
     /// Current flattened nesting depth.

@@ -3,8 +3,10 @@
 
 use crate::backend::SystemKind;
 use crate::machine::{Machine, MachineConfig};
+use crate::ops::Op;
 use crate::program::ThreadProgram;
 use ptm_types::{ProcessId, ThreadId};
+use std::sync::Arc;
 
 /// Runs `programs` to completion under `kind` and returns the machine for
 /// inspection.
@@ -20,12 +22,11 @@ pub fn run(cfg: MachineConfig, kind: SystemKind, programs: Vec<ThreadProgram>) -
 /// versioning overhead) — the denominator of Figure 4's "% Speedup".
 pub fn serialize_programs(programs: &[ThreadProgram]) -> Vec<ThreadProgram> {
     let pid = programs.first().map(|p| p.pid()).unwrap_or(ProcessId(0));
-    let mut ops = Vec::new();
-    for p in programs {
-        for pc in 0..p.len() {
-            ops.push(p.op_at(pc).expect("in range"));
-        }
-    }
+    let len = programs.iter().map(ThreadProgram::len).sum();
+    let mut stream = programs.iter().flat_map(|p| p.ops().iter().copied());
+    // A mapped range has an exact length, so the shared stream is
+    // allocated once at `len` and filled in place.
+    let ops: Arc<[Op]> = (0..len).map(|_| stream.next().expect("counted")).collect();
     vec![ThreadProgram::new(pid, ThreadId(0), ops)]
 }
 
@@ -53,7 +54,6 @@ pub fn speedup_vs_serial(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::Op;
     use ptm_types::VirtAddr;
 
     #[test]

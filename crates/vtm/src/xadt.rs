@@ -7,7 +7,7 @@
 //! VTM cannot cover inter-process physical sharing the way PTM does (§5.3).
 
 use ptm_mem::SpecBlock;
-use ptm_types::{FastMap, ProcessId, TxId, VirtAddr, WordMask, BLOCK_SIZE};
+use ptm_types::{FastMap, ProcessId, TxId, VirtAddr, BLOCK_SIZE};
 
 /// Key of an XADT entry: which process's address space, which block.
 pub type XadtKey = (ProcessId, VirtAddr);
@@ -229,16 +229,10 @@ fn normalize(key: XadtKey) -> XadtKey {
     (key.0, key.1.block_aligned())
 }
 
-/// Builds a [`SpecBlock`] directly (convenience for tests and the
-/// simulator's overflow path).
-pub fn spec_from(data: [u8; BLOCK_SIZE], written: WordMask) -> SpecBlock {
-    SpecBlock { data, written }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ptm_types::WordIdx;
+    use ptm_types::{WordIdx, WordMask};
 
     fn key(addr: u64) -> XadtKey {
         (ProcessId(0), VirtAddr::new(addr))

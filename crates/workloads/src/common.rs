@@ -84,14 +84,16 @@ impl Workload {
         }
     }
 
-    /// Clones the thread programs (machines consume them).
+    /// The thread programs, for a machine to consume. They share this
+    /// workload's op streams, so the copy costs one cursor per thread.
     pub fn programs(&self) -> Vec<ThreadProgram> {
         self.programs.clone()
     }
 
     /// The programs a given execution mode should run: the lock-based
     /// original for lock mode and the single-thread baseline, the
-    /// transactional rewrite for everything else.
+    /// transactional rewrite for everything else. Like
+    /// [`Workload::programs`], they share this workload's op streams.
     pub fn programs_for(&self, kind: ptm_sim::SystemKind) -> Vec<ThreadProgram> {
         match kind {
             ptm_sim::SystemKind::Locks | ptm_sim::SystemKind::Serial => self
@@ -177,7 +179,8 @@ impl ProgramBuilder {
         self
     }
 
-    /// Finalizes the program.
+    /// Finalizes the program: the ops are copied once into the stream
+    /// that every clone of it shares.
     pub fn build(self) -> ThreadProgram {
         ThreadProgram::new(self.pid, self.thread, self.ops)
     }
