@@ -4,12 +4,12 @@ one does.
 
     same_simulation.py COMMITTED.json REGENERATED.json
 
-Compares every field of the two `adversity` or `service` reports except the
-host-timed ones: the provenance (`git_rev`, `rustc`, `host_cores`), every
+Compares every field of the two `paper`, `adversity` or `service` reports
+except the host-timed ones: the provenance (`git_rev`, `rustc`, `host_cores`), every
 key ending in `wall_ns`, the recovery-ns (4th) element of each
 `curve_step_logbytes_records_recns` point and the threaded `backpressure`
-drill. Everything else (cycles, commits, aborts, plan digests, recovery
-counters, totals) is a pure function of the simulator, so any difference
+drill. Everything else (cycles, commits, aborts, claim verdicts, plan
+digests, recovery counters, totals) is a pure function of the simulator, so any difference
 means a change altered simulated behaviour. Exits 1 naming each
 differing field.
 """

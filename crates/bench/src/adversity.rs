@@ -18,17 +18,18 @@
 //! inside fault storms on a faulty group-commit log.
 
 use crate::json::{self, Fixed, Obj};
+use crate::paper::{self, CellWorkload};
 use ptm_core::durability::{DurStats, DurabilityConfig, ForcePolicy, MAX_LOG_RETRIES};
 use ptm_core::{PtmStats, RecoveryStats};
 use ptm_mem::{LogDevConfig, LogDevStats, LogFaultPlan};
 use ptm_sim::crash::CrashPlan;
 use ptm_sim::{
-    check_invariants, diff_against_machine, serialize_programs, FaultAction, FaultEvent, FaultPlan,
-    Machine, MachineConfig, SystemKind, ThreadProgram,
+    check_invariants, diff_against_machine, FaultAction, FaultEvent, FaultPlan, Machine,
+    MachineConfig, SystemKind, ThreadProgram,
 };
 use ptm_types::rng::{Fnv1a64, SplitMix64};
 use ptm_types::Granularity;
-use ptm_workloads::{by_name, synthetic, Scale, SyntheticConfig, Workload};
+use ptm_workloads::Scale;
 use std::time::Instant;
 
 /// The slices of the default grid, in run order.
@@ -52,46 +53,6 @@ pub const FORCE_POLICIES: [ForcePolicy; 3] =
 /// class order: transient, stall, reorder, torn. Each is the smallest seed
 /// of its class, so the list provably covers every injected fault kind.
 pub const LOG_FAULT_SEEDS: [u64; 5] = [0, 6, 1, 2, 7];
-
-/// Which workload a cell runs (rebuilt from the cell for every run, so a
-/// cell stays `Copy`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CellWorkload {
-    /// One of the five Table 1 benchmarks, by name.
-    Splash2(&'static str),
-    /// The ablation binary's low-contention synthetic workload.
-    SyntheticLow,
-    /// `synthetic::overflowing(seed)`.
-    SyntheticOverflowing(u64),
-    /// `synthetic::contended(seed)`.
-    SyntheticContended(u64),
-}
-
-impl CellWorkload {
-    /// A stable display name.
-    pub fn name(&self) -> String {
-        match self {
-            CellWorkload::Splash2(n) => (*n).to_string(),
-            CellWorkload::SyntheticLow => "syn-low".to_string(),
-            CellWorkload::SyntheticOverflowing(s) => format!("syn-overflow-{s}"),
-            CellWorkload::SyntheticContended(s) => format!("syn-contended-{s}"),
-        }
-    }
-
-    fn build(&self, scale: Scale) -> Workload {
-        match self {
-            CellWorkload::Splash2(n) => by_name(n, scale).expect("known benchmark"),
-            CellWorkload::SyntheticLow => synthetic::workload(SyntheticConfig {
-                shared_fraction: 0.05,
-                ops_per_tx: 120,
-                private_pages: 32,
-                ..SyntheticConfig::default()
-            }),
-            CellWorkload::SyntheticOverflowing(s) => synthetic::overflowing(*s),
-            CellWorkload::SyntheticContended(s) => synthetic::contended(*s),
-        }
-    }
-}
 
 /// A cell's crash points.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -184,44 +145,36 @@ fn crash_seed(i: usize) -> u64 {
     CRASH_SEED.wrapping_add((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
-/// `faults`: the Table 1 / Figure 4 / Figure 5 cells of the five
-/// benchmarks (deduplicated across families) plus the ablation's
-/// synthetic grid, each plain and then under `seeded_plan(seed)`.
+/// `faults`: the paper grid's `figures` cells but LogTM's, then the
+/// ablation's synthetic grid (LogTM included), each plain and then under
+/// `seeded_plan(seed)`.
 fn faults_slice(scale: Scale, seed: u64) -> Vec<Cell> {
-    let mut cells: Vec<Cell> = Vec::new();
-    let mut push = |family: &'static str, workload: CellWorkload, kind: SystemKind| {
-        let known = |c: &Cell| (c.workload, c.kind) == (workload, kind);
-        if !cells.iter().any(known) {
-            let mut plain = Cell::new("faults", workload, kind, scale);
-            plain.family = family;
-            cells.extend([plain, plain.faulted(seed)]);
-        }
-    };
-    for app in ["fft", "lu", "radix", "ocean", "water"] {
-        let w = CellWorkload::Splash2(app);
-        push("table1", w, SystemKind::SelectPtm(Default::default()));
-        push("serial", w, SystemKind::Serial);
-        for kind in SystemKind::figure4() {
-            push("fig4", w, kind);
-        }
-        for kind in SystemKind::figure5() {
-            push("fig5", w, kind);
-        }
-    }
-    for workload in [
+    let kernels = paper::figures_slice()
+        .into_iter()
+        .filter(|c| c.kind != SystemKind::LogTm)
+        .map(|c| (c.family, c.workload, c.kind));
+    let synthetic = [
         CellWorkload::SyntheticLow,
         CellWorkload::SyntheticOverflowing(7),
         CellWorkload::SyntheticContended(7),
-    ] {
-        for kind in [
+    ]
+    .into_iter()
+    .flat_map(|w| {
+        let kinds = [
             SystemKind::CopyPtm,
             SystemKind::SelectPtm(Default::default()),
             SystemKind::LogTm,
-        ] {
-            push("ablation", workload, kind);
-        }
-    }
-    cells
+        ];
+        kinds.map(|kind| ("ablation", w, kind))
+    });
+    let cell = |(family, workload, kind)| {
+        let plain = Cell {
+            family,
+            ..Cell::new("faults", workload, kind, scale)
+        };
+        [plain, plain.faulted(seed)]
+    };
+    kernels.chain(synthetic).flat_map(cell).collect()
 }
 
 /// The log-device slices run both PTM policies at block granularity on
@@ -320,12 +273,7 @@ fn seeded_plan(seed: u64) -> FaultPlan {
 /// so each machine's copy costs one cursor per thread.
 fn inputs(cell: &Cell) -> (MachineConfig, Vec<ThreadProgram>) {
     let w = cell.workload.build(cell.scale);
-    let programs = if cell.kind == SystemKind::Serial {
-        serialize_programs(&w.programs_for(SystemKind::Serial))
-    } else {
-        w.programs_for(cell.kind)
-    };
-    (w.machine_config(), programs)
+    (w.machine_config(), paper::programs(&w, cell.kind))
 }
 
 /// A fresh machine for `cell` running `programs`, with its log device

@@ -1,5 +1,5 @@
 //! Swap round-trips under fire: the six workloads that historically broke
-//! serializability (shrunk cases from `prop_serializability.proptest-regressions`)
+//! serializability (cases `prop_serializability` once shrank failures to)
 //! re-run with forced swap-outs of hot transactional pages injected mid-run,
 //! under both PTM policies. SPT→SIT→SPT migration of the shadow pointer,
 //! selection vector and TAV heads is what these runs exercise end-to-end;
@@ -13,7 +13,7 @@ use unbounded_ptm::sim::{
 use unbounded_ptm::types::Granularity;
 use unbounded_ptm::workloads::synthetic::{workload, SyntheticConfig};
 
-/// The six shrunk regression cases, verbatim from the proptest corpus.
+/// The six shrunk regression cases, verbatim.
 fn regression_configs() -> [SyntheticConfig; 6] {
     [
         SyntheticConfig {
