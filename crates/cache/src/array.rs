@@ -173,23 +173,24 @@ impl CacheArray {
             .filter(|l| l.state() != Moesi::Invalid)
     }
 
-    /// Removes all lines matching `pred`, returning them.
-    pub fn drain_matching<F>(&mut self, mut pred: F) -> Vec<CacheLine>
+    /// Removes all lines matching `pred`, returning how many went.
+    pub fn remove_matching<F>(&mut self, mut pred: F) -> usize
     where
         F: FnMut(&CacheLine) -> bool,
     {
-        let mut out = Vec::new();
+        let mut removed = 0;
         for set in &mut self.sets {
             let mut i = 0;
             while i < set.len() {
                 if set[i].state() != Moesi::Invalid && pred(&set[i]) {
-                    out.push(set.swap_remove(i));
+                    set.swap_remove(i);
+                    removed += 1;
                 } else {
                     i += 1;
                 }
             }
         }
-        out
+        removed
     }
 
     /// Number of valid lines.
@@ -286,14 +287,13 @@ mod tests {
     }
 
     #[test]
-    fn drain_matching_extracts_tx_lines() {
+    fn remove_matching_drops_tx_lines() {
         let mut c = CacheArray::new(CacheConfig::tiny(4, 2));
         let mut tx_line = CacheLine::new(blk(0), Moesi::Modified);
         tx_line.tx_meta_for(TxId(7));
         c.insert(tx_line);
         c.insert(CacheLine::new(blk(1), Moesi::Shared));
-        let drained = c.drain_matching(|l| l.is_owned_by(TxId(7)));
-        assert_eq!(drained.len(), 1);
+        assert_eq!(c.remove_matching(|l| l.is_owned_by(TxId(7))), 1);
         assert_eq!(c.len(), 1);
         assert!(c.contains(blk(1)));
     }

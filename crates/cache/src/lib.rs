@@ -145,14 +145,23 @@ impl Hierarchy {
 
     /// Probes both levels without changing state, classifying the access.
     pub fn probe(&self, block: PhysBlock) -> ProbeResult {
-        if self.l1.contains(block) {
-            debug_assert!(self.l2.contains(block), "L1 must be inclusive in L2");
-            ProbeResult::Hit(Hit::L1)
-        } else if self.l2.contains(block) {
-            ProbeResult::Hit(Hit::L2)
+        self.lookup(block)
+            .map_or(ProbeResult::Miss, |(hit, _)| ProbeResult::Hit(hit))
+    }
+
+    /// The level `block` hits at and a copy of its L2 line, or `None` on a
+    /// miss: one scan of the L2 set, and no state changes.
+    pub fn lookup(&self, block: PhysBlock) -> Option<(Hit, CacheLine)> {
+        let Some(&line) = self.l2.get(block) else {
+            debug_assert!(!self.l1.contains(block), "L1 must be inclusive in L2");
+            return None;
+        };
+        let hit = if self.l1.contains(block) {
+            Hit::L1
         } else {
-            ProbeResult::Miss
-        }
+            Hit::L2
+        };
+        Some((hit, line))
     }
 
     /// Latency of a hit at the given level.
@@ -173,8 +182,12 @@ impl Hierarchy {
     /// L2 hit).
     pub fn touch_mut(&mut self, block: PhysBlock) -> Option<LineMut<'_>> {
         let line = self.l2.get_mut(block)?;
-        // Refill L1; its victim needs no action (inclusive, data in L2).
-        let _ = self.l1.insert(CacheLine::presence(block));
+        // An L1 hit refreshes the presence line's LRU stamp, as re-inserting
+        // it would; an L1 miss refills L1, whose victim needs no action
+        // (inclusive, data in L2).
+        if self.l1.get_mut(block).is_none() {
+            let _ = self.l1.insert(CacheLine::presence(block));
+        }
         Some(LineMut {
             line,
             tagged: &mut self.tagged,
@@ -281,9 +294,9 @@ impl Hierarchy {
     /// returning the number of L2 lines dropped. Tagged lines stay, so the
     /// registry needs no update.
     pub(crate) fn drop_non_tx_lines(&mut self) -> u64 {
-        let dropped = self.l2.drain_matching(|l| !l.is_transactional());
-        let _ = self.l1.drain_matching(|_| true);
-        dropped.len() as u64
+        let dropped = self.l2.remove_matching(|l| !l.is_transactional());
+        self.l1.remove_matching(|_| true);
+        dropped as u64
     }
 }
 

@@ -98,9 +98,9 @@ impl Model {
     }
 
     fn flush(&mut self) -> u64 {
-        let dropped = self.l2.drain_matching(|l| !l.is_transactional());
-        let _ = self.l1.drain_matching(|_| true);
-        dropped.len() as u64
+        let dropped = self.l2.remove_matching(|l| !l.is_transactional());
+        self.l1.remove_matching(|_| true);
+        dropped as u64
     }
 }
 

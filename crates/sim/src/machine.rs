@@ -20,7 +20,7 @@ use crate::program::ThreadProgram;
 use crate::stats::{CommittedTx, MachineStats};
 use ptm_cache::{
     abort_tx_lines, commit_tx_lines, flush_non_tx_lines, peek_remote_tx_use, supply, BusTimings,
-    CacheConfig, CacheLine, DataSource, Hierarchy, ProbeResult, SystemBus,
+    CacheConfig, CacheLine, DataSource, Hierarchy, SystemBus,
 };
 use ptm_core::durability::{DurStats, DurabilityConfig, DurableLog, UndoPayload};
 use ptm_core::system::{AccessKind, ConflictOutcome};
@@ -177,7 +177,8 @@ pub struct Machine {
     gate: OrderedGate,
     pub(crate) tx_owner: FastMap<TxId, usize>,
     pub(crate) rev_map: FastMap<FrameId, (ProcessId, Vpn)>,
-    barriers: FastMap<u32, BarrierState>,
+    /// Barriers some thread has reached and not every thread has passed.
+    barriers: Vec<BarrierState>,
     pub(crate) stats: MachineStats,
     /// Extra cycles every swap-in stalls for — zero except under an active
     /// `DelaySwapIns` fault, so plain runs are timing-identical.
@@ -207,9 +208,11 @@ fn caches_for(cfg: &MachineConfig, n: usize, spare: Vec<Hierarchy>) -> Vec<Hiera
 /// keyed by *thread* (stable across core migration), not by core.
 #[derive(Debug)]
 struct BarrierState {
-    arrived: std::collections::HashSet<u32>,
+    id: u32,
+    arrived: Vec<u32>,
     release_at: Option<Cycle>,
-    passed: std::collections::HashSet<u32>,
+    /// Threads released past the barrier so far.
+    passed: usize,
 }
 
 impl Machine {
@@ -283,7 +286,7 @@ impl Machine {
             gate: OrderedGate::new(),
             tx_owner: FastMap::default(),
             rev_map: FastMap::default(),
-            barriers: FastMap::default(),
+            barriers: Vec::new(),
             stats: MachineStats::default(),
             swap_in_delay: 0,
             ready_dirty: Vec::new(),
@@ -430,26 +433,38 @@ impl Machine {
         let n = self.cores.len();
         let poll = self.cfg.retry_poll;
         let thread = self.cores[idx].prog.thread().0;
-        let st = self.barriers.entry(id).or_insert_with(|| BarrierState {
-            arrived: std::collections::HashSet::new(),
-            release_at: None,
-            passed: std::collections::HashSet::new(),
-        });
+        let pos = match self.barriers.iter().position(|b| b.id == id) {
+            Some(pos) => pos,
+            None => {
+                self.barriers.push(BarrierState {
+                    id,
+                    arrived: Vec::with_capacity(n),
+                    release_at: None,
+                    passed: 0,
+                });
+                self.barriers.len() - 1
+            }
+        };
+        let st = &mut self.barriers[pos];
         if let Some(rel) = st.release_at {
             if now >= rel {
-                st.passed.insert(thread);
-                let done = st.passed.len() == n;
+                // A thread passes once: it advances past the barrier here.
+                st.passed += 1;
+                let done = st.passed == n;
                 self.cores[idx].prog.advance();
                 self.cores[idx].ready_at = now + 1;
                 if done {
-                    self.barriers.remove(&id);
+                    self.barriers.swap_remove(pos);
                 }
             } else {
                 self.cores[idx].ready_at = rel;
             }
             return;
         }
-        st.arrived.insert(thread);
+        // A waiting thread re-steps the barrier each poll; it arrives once.
+        if !st.arrived.contains(&thread) {
+            st.arrived.push(thread);
+        }
         if st.arrived.len() == n {
             // Last arriver: release everyone after a short notification
             // round on the bus.
@@ -558,7 +573,7 @@ impl Machine {
                     .unwrap_or_else(|| self.tx_src.next_id());
                 let retry = self.cores[idx].prog.begin_outer(tx);
                 match &mut self.backend {
-                    Backend::Ptm(p) => p.begin(tx, ordered.map(|o| o.seq)),
+                    Backend::Ptm(p) => p.begin(tx, ordered.map(OrderedSeq::seq)),
                     Backend::Vtm(v) => v.begin(tx),
                     Backend::LogTm(l) => l.begin(tx),
                     _ => unreachable!("transactional mode"),
@@ -1027,8 +1042,8 @@ impl Machine {
             );
         }
         // 2. Cache probe.
-        match self.caches[idx].probe(block) {
-            ProbeResult::Hit(hit) => {
+        match self.caches[idx].lookup(block) {
+            Some((hit, cached)) => {
                 latency += self.caches[idx].hit_latency(hit);
                 self.caches[idx].l2_stats_mut().hits += 1;
 
@@ -1036,11 +1051,7 @@ impl Machine {
                 // tagged by a *different* transaction (the thread that used
                 // to run here). Resolve any conflict, displace the line into
                 // the overflow structures, and retry the access.
-                let foreign = self.caches[idx]
-                    .line(block)
-                    .and_then(|l| l.tx_meta())
-                    .filter(|m| Some(m.tx) != tx)
-                    .copied();
+                let foreign = cached.tx_meta().filter(|m| Some(m.tx) != tx).copied();
                 if let Some(fm) = foreign {
                     let word_mode = self.kind.granularity().word_in_cache();
                     if self.is_live_tx(fm.tx) && fm.conflicts_with(is_write, word, word_mode) {
@@ -1062,8 +1073,7 @@ impl Machine {
                     };
                 }
 
-                let state = self.caches[idx].line(block).expect("hit").state();
-                if is_write && !state.allows_silent_write() {
+                if is_write && !cached.state().allows_silent_write() {
                     // Upgrade: a coherence transaction with full conflict
                     // checking.
                     match self.miss_conflicts_and_supply(idx, now, pid, va, block, word, kind, true)
@@ -1092,7 +1102,7 @@ impl Machine {
                 }
                 AccessEffect::Done(latency, pa)
             }
-            ProbeResult::Miss => {
+            None => {
                 self.caches[idx].l2_stats_mut().misses += 1;
                 let (extra, outcome) = match self
                     .miss_conflicts_and_supply(idx, now, pid, va, block, word, kind, false)

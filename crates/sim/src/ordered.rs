@@ -15,8 +15,8 @@ use crate::ops::OrderedSeq;
 /// use ptm_sim::ordered::OrderedGate;
 ///
 /// let mut gate = OrderedGate::new();
-/// let first = OrderedSeq { group: 0, seq: 0 };
-/// let second = OrderedSeq { group: 0, seq: 1 };
+/// let first = OrderedSeq::new(0, 0).unwrap();
+/// let second = OrderedSeq::new(0, 1).unwrap();
 /// assert!(!gate.may_commit(second));
 /// assert!(gate.may_commit(first));
 /// gate.committed(first);
@@ -35,7 +35,7 @@ impl OrderedGate {
 
     /// Whether the transaction with this constraint may commit now.
     pub fn may_commit(&self, seq: OrderedSeq) -> bool {
-        self.next.get(&seq.group).copied().unwrap_or(0) == seq.seq
+        self.next_in(seq.group()) == seq.seq()
     }
 
     /// Records a commit, unblocking the group's next sequence number.
@@ -45,8 +45,13 @@ impl OrderedGate {
     /// Panics on out-of-order commit — the gate exists to prevent exactly
     /// that, so a violation is a simulator bug.
     pub fn committed(&mut self, seq: OrderedSeq) {
-        let next = self.next.entry(seq.group).or_insert(0);
-        assert_eq!(*next, seq.seq, "out-of-order commit in group {}", seq.group);
+        let next = self.next.entry(seq.group()).or_insert(0);
+        assert_eq!(
+            *next,
+            seq.seq(),
+            "out-of-order commit in group {}",
+            seq.group()
+        );
         *next += 1;
     }
 
@@ -60,12 +65,16 @@ impl OrderedGate {
 mod tests {
     use super::*;
 
+    fn tag(group: u32, seq: u64) -> OrderedSeq {
+        OrderedSeq::new(group, seq).unwrap()
+    }
+
     #[test]
     fn groups_are_independent() {
         let mut g = OrderedGate::new();
-        g.committed(OrderedSeq { group: 0, seq: 0 });
-        assert!(g.may_commit(OrderedSeq { group: 1, seq: 0 }));
-        assert!(!g.may_commit(OrderedSeq { group: 1, seq: 1 }));
+        g.committed(tag(0, 0));
+        assert!(g.may_commit(tag(1, 0)));
+        assert!(!g.may_commit(tag(1, 1)));
         assert_eq!(g.next_in(0), 1);
     }
 
@@ -73,7 +82,7 @@ mod tests {
     fn sequence_advances_in_order() {
         let mut g = OrderedGate::new();
         for s in 0..5 {
-            let seq = OrderedSeq { group: 7, seq: s };
+            let seq = tag(7, s);
             assert!(g.may_commit(seq));
             g.committed(seq);
         }
@@ -84,6 +93,6 @@ mod tests {
     #[should_panic(expected = "out-of-order")]
     fn out_of_order_commit_panics() {
         let mut g = OrderedGate::new();
-        g.committed(OrderedSeq { group: 0, seq: 3 });
+        g.committed(tag(0, 3));
     }
 }

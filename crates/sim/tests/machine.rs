@@ -201,7 +201,7 @@ fn ordered_transactions_commit_in_sequence() {
             for i in 0..4u64 {
                 let seq = i * 3 + t as u64;
                 ops.push(Op::Begin {
-                    ordered: Some(OrderedSeq { group: 1, seq }),
+                    ordered: OrderedSeq::new(1, seq),
                     lock: VirtAddr::new(lock0()),
                 });
                 // Each ordered tx adds its seq to the running sum; with
@@ -595,7 +595,7 @@ fn logtm_ordered_transactions_do_not_deadlock() {
             for i in 0..6u64 {
                 let seq = i * 2 + t;
                 ops.push(Op::Begin {
-                    ordered: Some(OrderedSeq { group: 0, seq }),
+                    ordered: OrderedSeq::new(0, seq),
                     lock: VirtAddr::new(lock0()),
                 });
                 ops.push(Op::Rmw(VirtAddr::new(x), 1));

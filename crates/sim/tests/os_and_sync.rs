@@ -118,7 +118,7 @@ fn independent_ordered_groups_interleave_freely() {
         for i in 0..5u64 {
             let seq = i * 2 + (t % 2);
             ops.push(Op::Begin {
-                ordered: Some(OrderedSeq { group, seq }),
+                ordered: OrderedSeq::new(group, seq),
                 lock: VirtAddr::new(0x100 + t * 64),
             });
             ops.push(Op::Rmw(

@@ -114,7 +114,6 @@ pub struct ProgramBuilder {
     pid: ProcessId,
     thread: ThreadId,
     ops: Vec<Op>,
-    ordered_group: Option<u32>,
 }
 
 impl ProgramBuilder {
@@ -124,22 +123,25 @@ impl ProgramBuilder {
             pid: ProcessId(0),
             thread: ThreadId(thread as u32),
             ops: Vec::new(),
-            ordered_group: None,
         }
     }
 
-    /// Makes subsequent [`ProgramBuilder::begin`] calls ordered in `group`.
-    pub fn ordered_in(mut self, group: u32) -> Self {
-        self.ordered_group = Some(group);
+    /// Opens a transaction protected (in lock mode) by `lock`.
+    pub fn begin(&mut self, lock: VirtAddr) -> &mut Self {
+        self.ops.push(Op::Begin {
+            ordered: None,
+            lock,
+        });
         self
     }
 
-    /// Opens a transaction protected (in lock mode) by `lock`; `seq` is the
-    /// ordered-commit position when the builder is in ordered mode.
-    pub fn begin(&mut self, lock: VirtAddr, seq: u64) -> &mut Self {
-        let ordered = self.ordered_group.map(|group| OrderedSeq { group, seq });
+    /// Opens an ordered transaction at position `seq` of `group` (§2.2),
+    /// or queues nothing and returns `None` when the pair lies outside
+    /// [`OrderedSeq::new`]'s range.
+    pub fn begin_ordered(&mut self, lock: VirtAddr, group: u32, seq: u64) -> Option<&mut Self> {
+        let ordered = Some(OrderedSeq::new(group, seq)?);
         self.ops.push(Op::Begin { ordered, lock });
-        self
+        Some(self)
     }
 
     /// Closes the innermost transaction.
@@ -231,7 +233,7 @@ mod tests {
     #[test]
     fn builder_produces_expected_sequence() {
         let mut b = ProgramBuilder::new(1);
-        b.begin(VirtAddr::new(0x40), 0)
+        b.begin(VirtAddr::new(0x40))
             .rmw(VirtAddr::new(0x1000), 2)
             .end()
             .compute(3);
@@ -242,16 +244,16 @@ mod tests {
 
     #[test]
     fn ordered_builder_tags_begins() {
-        let mut b = ProgramBuilder::new(0).ordered_in(7);
-        b.begin(VirtAddr::new(0), 3).end();
+        let mut b = ProgramBuilder::new(0);
+        b.begin_ordered(VirtAddr::new(0), 7, 3).unwrap().end();
+        assert!(b.begin_ordered(VirtAddr::new(0), 256, 0).is_none());
+        assert!(b.begin_ordered(VirtAddr::new(0), 0, 1 << 24).is_none());
         let p = b.build();
+        assert_eq!(p.len(), 2, "a refused begin queues nothing");
         match p.op_at(0) {
             Some(Op::Begin {
                 ordered: Some(o), ..
-            }) => {
-                assert_eq!(o.group, 7);
-                assert_eq!(o.seq, 3);
-            }
+            }) => assert_eq!((o.group(), o.seq()), (7, 3)),
             other => panic!("expected ordered begin, got {other:?}"),
         }
     }

@@ -62,7 +62,7 @@ pub fn workload(scale: Scale) -> Workload {
             for it in 0..iters {
                 // Local butterfly pass over the thread's own row band: a
                 // large read-modify transaction on private rows.
-                b.begin(locks.offset((t * 64) as u64), 0);
+                b.begin(locks.offset((t * 64) as u64));
                 for r in rows.clone() {
                     // One butterfly sweep across the row, with a twiddle
                     // lookup per pair (the read-only table).
@@ -82,7 +82,7 @@ pub fn workload(scale: Scale) -> Workload {
                 // of own rows, write it transposed into scratch — each
                 // destination cache block is filled before moving on, but
                 // the overall footprint still overflows the caches.
-                b.begin(locks.offset((1024 + t * 64) as u64), 0);
+                b.begin(locks.offset((1024 + t * 64) as u64));
                 const TILE: usize = 16;
                 for r0 in rows.clone().step_by(TILE) {
                     for c0 in (0..n).step_by(TILE) {

@@ -60,7 +60,7 @@ pub fn workload(scale: Scale) -> Workload {
         {
             let t = owner(k, k);
             let b = &mut builders[t];
-            b.begin(block_lock(k, k), 0);
+            b.begin(block_lock(k, k));
             for r in 0..BLOCK {
                 b.read(pivots.offset(((k * BLOCK + r) % 3072) as u64 * 4));
                 for c in 0..BLOCK {
@@ -79,7 +79,7 @@ pub fn workload(scale: Scale) -> Workload {
             for (bi, bj) in [(k, other), (other, k)] {
                 let t = owner(bi, bj);
                 let b = &mut builders[t];
-                b.begin(block_lock(bi, bj), 0);
+                b.begin(block_lock(bi, bj));
                 for r in 0..BLOCK {
                     b.read(at(k * BLOCK + r, k * BLOCK + r)); // diagonal
                     for c in 0..BLOCK {
@@ -102,7 +102,7 @@ pub fn workload(scale: Scale) -> Workload {
                 let t = owner(bi, bj);
                 let b = &mut builders[t];
                 if !opened[t] {
-                    b.begin(block_lock(k, k).offset(4096 + t as u64 * 64), 0);
+                    b.begin(block_lock(k, k).offset(4096 + t as u64 * 64));
                     opened[t] = true;
                 }
                 for r in 0..BLOCK {

@@ -89,17 +89,17 @@ pub fn workload(scale: Scale) -> Workload {
                     };
                     for &r in &strips {
                         let rh = (r + rows_per_tx).min(r1);
-                        b.begin(locks.offset((t * 64) as u64), 0);
+                        b.begin(locks.offset((t * 64) as u64));
                         // Boundary strips additionally take the shared
                         // boundary lock under lock-based execution — the
                         // conservative serialization transactions avoid.
                         let lower_boundary = t > 0 && r == r0;
                         let upper_boundary = t + 1 < THREADS && rh == r1;
                         if lower_boundary {
-                            b.begin(locks.offset((2048 + t * 64) as u64), 0);
+                            b.begin(locks.offset((2048 + t * 64) as u64));
                         }
                         if upper_boundary {
-                            b.begin(locks.offset((2048 + (t + 1) * 64) as u64), 0);
+                            b.begin(locks.offset((2048 + (t + 1) * 64) as u64));
                         }
                         for row in r..rh {
                             for col in (1..n - 1).step_by(2) {
@@ -126,7 +126,7 @@ pub fn workload(scale: Scale) -> Workload {
                 }
                 // Column-major sweep of grid 0 (reads only): the cache-
                 // hostile multigrid traversal. Columns are split by thread.
-                b.begin(locks.offset((1024 + t * 64) as u64), 0);
+                b.begin(locks.offset((1024 + t * 64) as u64));
                 let c0 = t * (n / THREADS);
                 let c1 = (t + 1) * (n / THREADS);
                 for col in (c0..c1).step_by(4) {

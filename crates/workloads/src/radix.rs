@@ -75,7 +75,7 @@ pub fn workload(scale: Scale) -> Workload {
             let mut i = my_keys.start;
             while i < my_keys.end {
                 let hi = (i + tx_chunk).min(my_keys.end);
-                b.begin(locks.offset((d * 1024 + t * 64) as u64), 0);
+                b.begin(locks.offset((d * 1024 + t * 64) as u64));
                 for (k, &key) in key_vals.iter().enumerate().take(hi).skip(i) {
                     b.read(keys_base.offset(k as u64 * 4));
                     b.rmw(hist_slot(digit(key, d), t), 1);
@@ -103,7 +103,7 @@ pub fn workload(scale: Scale) -> Workload {
             let mut i = 0;
             while i < key_order.len() {
                 let hi = (i + permute_chunk).min(key_order.len());
-                b.begin(locks.offset((2048 + d * 1024 + t * 64) as u64), 0);
+                b.begin(locks.offset((2048 + d * 1024 + t * 64) as u64));
                 for &k in &key_order[i..hi] {
                     b.read(keys_base.offset(k as u64 * 4));
                     b.rmw(cursor_slot(digit(key_vals[k], d), t), 1);

@@ -86,7 +86,7 @@ pub fn workload(cfg: SyntheticConfig) -> Workload {
                 .base();
             let mut b = ProgramBuilder::new(t);
             for _ in 0..cfg.txs_per_thread {
-                b.begin(locks.offset((t * 64) as u64), 0);
+                b.begin(locks.offset((t * 64) as u64));
                 for _ in 0..cfg.ops_per_tx {
                     let go_shared = rng.gen_bool(cfg.shared_fraction);
                     let addr = if go_shared {

@@ -78,7 +78,7 @@ pub fn workload(scale: Scale) -> Workload {
                 let mut i = mine.start;
                 while i < mine.end {
                     let hi = (i + pairs_per_tx).min(mine.end);
-                    b.begin(locks.offset((t * 64) as u64), 0);
+                    b.begin(locks.offset((t * 64) as u64));
                     for &(a, c) in &pairs[i..hi] {
                         for w in 0..3 {
                             b.read(pos(a, w));
@@ -104,7 +104,7 @@ pub fn workload(scale: Scale) -> Workload {
                 let mut i = my_mols.start;
                 while i < my_mols.end {
                     let hi = (i + mols_per_tx).min(my_mols.end);
-                    b.begin(locks.offset((1024 + t * 64) as u64), 0);
+                    b.begin(locks.offset((1024 + t * 64) as u64));
                     for mol in i..hi {
                         for w in 0..3 {
                             b.read(pforce(mol, w));
@@ -113,7 +113,7 @@ pub fn workload(scale: Scale) -> Workload {
                     }
                     // The shared potential-energy update: one global lock
                     // under lock-based execution, speculation under TM.
-                    b.begin(locks.offset(3072), 0);
+                    b.begin(locks.offset(3072));
                     b.rmw(globals, 1);
                     b.end();
                     b.end();
@@ -145,14 +145,14 @@ pub fn workload(scale: Scale) -> Workload {
                         b.read(pos(c, w));
                     }
                     // The pair's updates run under the lower molecule's lock.
-                    b.begin(mol_lock(a.min(c)), 0);
+                    b.begin(mol_lock(a.min(c)));
                     for w in 0..3 {
                         b.rmw(force(a, w), 1);
                         b.rmw(force(c, w), -1);
                     }
                     b.end();
                     if pi % 8 == 0 {
-                        b.begin(locks.offset(4032), 0);
+                        b.begin(locks.offset(4032));
                         b.rmw(globals, 1);
                         b.end();
                     }

@@ -52,7 +52,7 @@ fn workload(reps: usize) -> Workload {
                 for r in 0..reps {
                     let addr = VirtAddr::new(0x40_0000 + (r % 8) as u64 * 4096 + t as u64 * 64);
                     if transactional {
-                        b.begin(VirtAddr::new(0x1000), 0);
+                        b.begin(VirtAddr::new(0x1000));
                     }
                     b.rmw(addr, 1).read(addr).compute(3);
                     if transactional {

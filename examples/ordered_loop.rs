@@ -24,7 +24,7 @@ fn main() {
             let mut ops = Vec::new();
             for i in (t..ITERATIONS).step_by(4) {
                 ops.push(Op::Begin {
-                    ordered: Some(OrderedSeq { group: 0, seq: i }),
+                    ordered: OrderedSeq::new(0, i),
                     lock: VirtAddr::new(0x30_0000),
                 });
                 // acc += i  (the carried dependency)
